@@ -33,6 +33,7 @@ RULES=(
   "raw-storage|tensor-scale float buffers allocated outside the pool: new float[] anywhere, or std::vector<float> in src/ outside src/tensor + src/memory — bulk float storage must come from Storage so the arena's stats see every buffer"
   "serve-raw-buffer|per-request buffer in src/serve off the pool arena (malloc, new[], byte/float vectors): serving state scales with concurrent sequences; KV blocks and decode scratch must be Tensors so bench_serve's numbers see every byte"
   "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train, src/runtime): it is an element-at-a-time gather; use the specialized blocked copies (ops::sbh_to_bhsd etc.)"
+  "hot-libm|scalar libm tanh/exp (std::tanh, std::exp, tanhf, expf) in the kernel library (src/tensor/kernels*): every transcendental there is the shared branch-free approximation (fast_tanh / fast_exp), so the elementwise loops vectorize and fused and composed paths share one set of bits"
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
 )
 
@@ -213,12 +214,29 @@ match_layers_direct_comm() {
   '
 }
 
+match_hot_libm() {
+  # Comments and string literals are stripped first, so the kernel
+  # library may still name the libm functions it replaced in prose.
+  xargs -r awk '
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      if (line ~ /std::(tanh|exp)([^A-Za-z0-9_]|$)/ \
+          || line ~ /(^|[^A-Za-z0-9_])(tanhf|expf)([^A-Za-z0-9_]|$)/)
+        printf "%s:%d: scalar libm transcendental in the kernel library\n", \
+               FILENAME, FNR
+    }
+  '
+}
+
 # Per-rule file filter: which of the scanned files a rule looks at.
 files_for_rule() {
   case "$1" in
     serve-raw-buffer) grep -E '(^|/)src/serve/' || true ;;
     hot-permute) grep -E '(^|/)src/(core|model|pipeline|train|runtime)/' || true ;;
     layers-direct-comm) grep -E '(^|/)src/core/layers' || true ;;
+    hot-libm) grep -E '(^|/)src/tensor/kernels' || true ;;
     *) cat ;;
   esac
 }

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -38,8 +40,8 @@ constexpr int64_t NC = 512;
 // Below this many multiply-adds a GEMM is not worth fanning out to the
 // worker pool (even a spin wake would dominate).
 constexpr int64_t kParallelGrain = int64_t{1} << 18;
-// Elementwise grain for the fused epilogues (their per-element cost is
-// tanh/exp-heavy, so the bar is lower than the GEMM's).
+// Elementwise grain for the fused epilogues, GeLU and dropout (a few
+// ns per element, so the bar is lower than the GEMM's).
 constexpr int64_t kElemGrain = int64_t{1} << 14;
 // Matches the MLS_KERNEL_THREADS clamp.
 constexpr int kMaxSlots = 64;
@@ -727,6 +729,128 @@ void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
   });
 }
 
+// --------------------------------------------------- transcendental tier
+namespace {
+
+// See kernels.h for the contract. Both bodies are straight-line float
+// arithmetic plus selects, so every loop that calls them vectorizes.
+// Clamps compare with `>` / `<`, which are false for NaN: NaN passes
+// through to the polynomial and out (std::min/max would swallow it).
+
+// a * b + c. Every multiply-add below is spelled with madd so that no
+// product feeds an addition implicitly: otherwise the compiler's FMA
+// contraction choice may differ between a loop's vector body and its
+// scalar tail, and which of the two an element lands in depends on
+// where its row or its thread's chunk ends. On FMA targets it is one
+// fused rounding; elsewhere no contraction exists to differ.
+inline float madd(float a, float b, float c) {
+#ifdef __FMA__
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
+inline float fast_tanh(float v) {
+  // |tanh| is within 2.7e-7 of 1 from here on; the result is pinned to
+  // exactly +-1 there by a select on v, so a constant-folded clamped
+  // branch and the vector body agree.
+  constexpr float kClamp = 7.90531110763549805f;
+  float x = v > kClamp ? kClamp : v;
+  x = x < -kClamp ? -kClamp : x;
+  const float x2 = x * x;
+  // Odd numerator, Horner in x^2.
+  float p = -2.76076847742355e-16f;
+  p = madd(p, x2, 2.00018790482477e-13f);
+  p = madd(p, x2, -8.60467152213735e-11f);
+  p = madd(p, x2, 5.12229709037114e-08f);
+  p = madd(p, x2, 1.48572235717979e-05f);
+  p = madd(p, x2, 6.37261928875436e-04f);
+  p = madd(p, x2, 4.89352455891786e-03f);
+  p = p * x;
+  // Even denominator.
+  float q = 1.19825839466702e-06f;
+  q = madd(q, x2, 1.18534705686654e-04f);
+  q = madd(q, x2, 2.26843463243900e-03f);
+  q = madd(q, x2, 4.89352518554385e-03f);
+  float t = p / q;
+  t = v >= kClamp ? 1.0f : t;
+  t = v <= -kClamp ? -1.0f : t;
+  return t;
+}
+
+inline float fast_exp(float x) {
+  constexpr float kHi = 88.3762626647949f;   // k = round(x log2 e) <= 127
+  constexpr float kLo = -87.3365447505531f;  // ln(FLT_MIN): k >= -126
+  constexpr float kLog2e = 1.44269504088896341f;
+  // Cody-Waite split of ln 2: kLn2Hi has few enough mantissa bits that
+  // k * kLn2Hi is exact for |k| <= 127.
+  constexpr float kLn2Hi = 0.693359375f;
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  // 1.5 * 2^23: adding it rounds to the nearest integer (ties to even)
+  // and leaves that integer in the low mantissa bits.
+  constexpr float kRound = 12582912.0f;
+  float xc = x > kHi ? kHi : x;
+  xc = xc < kLo ? kLo : xc;
+  const float kb = madd(xc, kLog2e, kRound);
+  const float kf = kb - kRound;
+  float r = madd(-kf, kLn2Hi, xc);
+  r = madd(-kf, kLn2Lo, r);
+  // e^r = 1 + r + r^2 P(r) on |r| <= ln2/2.
+  float p = 1.9875691500e-4f;
+  p = madd(p, r, 1.3981999507e-3f);
+  p = madd(p, r, 8.3334519073e-3f);
+  p = madd(p, r, 4.1665795894e-2f);
+  p = madd(p, r, 1.6666665459e-1f);
+  p = madd(p, r, 5.0000001201e-1f);
+  p = madd(p, r * r, r) + 1.0f;
+  // 2^k from the integer bits of kb (unsigned: a NaN x gives a garbage
+  // exponent, never UB, and the NaN in p wins the product).
+  const uint32_t k =
+      std::bit_cast<uint32_t>(kb) - std::bit_cast<uint32_t>(kRound);
+  const float scale = std::bit_cast<float>((k + 127u) << 23);
+  float e = p * scale;
+  e = x < kLo ? 0.0f : e;
+  e = x > kHi ? std::numeric_limits<float>::infinity() : e;
+  return e;
+}
+
+// GeLU (tanh form) and its derivative: the one definition behind the
+// fused epilogues and the composed ops::gelu / ops::gelu_grad.
+constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+constexpr float kGeluA = 0.044715f;
+
+inline float gelu_value(float v) {
+  const float u = kGeluC * madd(kGeluA * v * v, v, v);
+  return 0.5f * v * (1.0f + fast_tanh(u));
+}
+
+inline float gelu_derivative(float v) {
+  const float u = kGeluC * madd(kGeluA * v * v, v, v);
+  const float t = fast_tanh(u);
+  const float dudv = kGeluC * madd(3.0f * kGeluA * v, v, 1.0f);
+  const float sech2 = madd(-t, t, 1.0f);
+  return madd(0.5f * v * sech2, dudv, 0.5f * (1.0f + t));
+}
+
+// splitmix64 finalizer: a high-quality stateless hash of a 64-bit key.
+inline uint64_t hash64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+}  // namespace
+
+void tanh_approx(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = fast_tanh(x[i]);
+}
+
+void exp_approx(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = fast_exp(x[i]);
+}
+
 // ------------------------------------------------------- fused epilogues
 namespace {
 
@@ -769,14 +893,14 @@ void scaled_softmax_rows(const float* x, float* y, int64_t r0, int64_t r1,
     const int64_t qi = causal ? (r % sq) : 0;
     const int64_t valid =
         causal ? std::min<int64_t>(sk, qi + 1 + (sk - sq)) : sk;
-    float mx = -INFINITY;
+    float mx = -std::numeric_limits<float>::infinity();
     for (int64_t j = 0; j < valid; ++j) mx = std::max(mx, alpha * in[j]);
+    // The exp sweep vectorizes; the double denominator stays its own
+    // sequential loop so the summation order is the plain j order.
+    for (int64_t j = 0; j < valid; ++j)
+      out[j] = fast_exp(madd(alpha, in[j], -mx));
     double denom = 0.0;
-    for (int64_t j = 0; j < valid; ++j) {
-      const float e = std::exp(alpha * in[j] - mx);
-      out[j] = e;
-      denom += e;
-    }
+    for (int64_t j = 0; j < valid; ++j) denom += out[j];
     const float inv = static_cast<float>(1.0 / denom);
     for (int64_t j = 0; j < valid; ++j) out[j] *= inv;
     for (int64_t j = valid; j < sk; ++j) out[j] = 0.0f;
@@ -850,6 +974,84 @@ void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha) {
   parallel_ranges(rows, rows * n, 1, [&](int64_t r0, int64_t r1) {
     scaled_softmax_grad_rows(y, dy, dx, r0, r1, n, alpha);
+  });
+}
+
+void gelu(const float* x, float* y, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) y[i] = gelu_value(x[i]);
+  });
+}
+
+void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
+  parallel_ranges(n, n, 16, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) dx[i] = dy[i] * gelu_derivative(x[i]);
+  });
+}
+
+// ------------------------------------------------------------- dropout
+namespace {
+
+// One innermost row, global indices gidx0 + j * stride. Two sweeps,
+// each vectorizable: the 64-bit hash compare writes the mask, then a
+// float-only select applies it (fused, the mixed-width select does
+// not vectorize).
+void dropout_row(const float* x, float* y, float* mask, int64_t n,
+                 int64_t gidx0, int64_t stride, uint64_t seed,
+                 uint64_t threshold, float inv_keep) {
+  for (int64_t j = 0; j < n; ++j) {
+    const auto gidx = static_cast<uint64_t>(gidx0 + j * stride);
+    mask[j] = hash64(seed ^ gidx) >= threshold ? 1.0f : 0.0f;
+  }
+  for (int64_t j = 0; j < n; ++j)
+    y[j] = mask[j] != 0.0f ? x[j] * inv_keep : 0.0f;
+}
+
+}  // namespace
+
+void dropout(const float* x, float* y, float* mask, int nd,
+             const int64_t* dims, const int64_t* strides, int64_t base,
+             float p, uint64_t seed) {
+  const float inv_keep = 1.0f / (1.0f - p);
+  // keep iff hash(seed ^ gidx) / 2^64 >= p.
+  const uint64_t threshold =
+      static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
+  // Rows are the innermost dimension; a 0-d tensor is one row of one.
+  const int64_t inner = nd > 0 ? dims[nd - 1] : 1;
+  const int64_t inner_stride = nd > 0 ? strides[nd - 1] : 0;
+  int64_t rows = 1;
+  for (int d = 0; d + 1 < nd; ++d) rows *= dims[d];
+  if (inner <= 0 || rows <= 0) return;
+  parallel_ranges(rows, rows * inner, 1, [&](int64_t r0, int64_t r1) {
+    // Global index of row r0's first element: decode r0 over the outer
+    // dims, then advance that odometer once per row.
+    std::vector<int64_t> coord(static_cast<size_t>(std::max(nd - 1, 0)), 0);
+    int64_t row_gidx = base;
+    for (int64_t d = nd - 2, rem = r0; d >= 0; --d) {
+      const auto du = static_cast<size_t>(d);
+      coord[du] = rem % dims[d];
+      rem /= dims[d];
+      row_gidx += coord[du] * strides[d];
+    }
+    for (int64_t r = r0; r < r1; ++r) {
+      dropout_row(x + r * inner, y + r * inner, mask + r * inner, inner,
+                  row_gidx, inner_stride, seed, threshold, inv_keep);
+      for (int d = nd - 2; d >= 0; --d) {
+        const auto du = static_cast<size_t>(d);
+        row_gidx += strides[d];
+        if (++coord[du] < dims[d]) break;
+        row_gidx -= strides[d] * dims[d];
+        coord[du] = 0;
+      }
+    }
+  });
+}
+
+void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+                  float p) {
+  const float inv_keep = 1.0f / (1.0f - p);
+  parallel_ranges(n, n, 16, [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) dx[i] = dy[i] * mask[i] * inv_keep;
   });
 }
 

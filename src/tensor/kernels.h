@@ -46,9 +46,35 @@
 // The fused epilogues (bias+GeLU, scale-into-causal-softmax) fold the
 // cheap elementwise passes the transformer layer always runs
 // back-to-back into one sweep over the data.
+//
+// Transcendental tier. Every tanh and exp this library evaluates is one
+// of two branch-free float approximations compiled only in kernels.cpp,
+// so the fused epilogues and the composed ops:: forms share the same
+// bits. They are plain float arithmetic (no libm call, no -ffast-math),
+// so the element loops around them auto-vectorize; results are
+// deterministic for a given build and bit-identical at any thread
+// count. Clamps are written as comparisons that are false for NaN, so
+// NaN in gives NaN out.
+//  * tanh: odd/even rational minimax p(x)/q(x) of degree 13/6 (the
+//    form of Eigen's generic_fast_tanh_float) for |x| < 7.9053111 and
+//    exactly +-1 from there on (tanh(+-inf) = +-1). Absolute error
+//    against double-precision tanh is below kTanhMaxAbsError on every
+//    float input.
+//  * exp: Cody-Waite reduction x = k ln2 + r (|r| <= ln2/2, ln2 split
+//    into a short high part and a correction), a degree-7 polynomial
+//    for e^r, and 2^k assembled from the exponent bits (std::bit_cast).
+//    Relative error against double-precision exp is below
+//    kExpMaxRelError for x in [ln(FLT_MIN), 88.376] = [-87.336, 88.376].
+//    Below that range it returns 0 (libm returns denormals down to
+//    -103.97); above it, +inf (libm overflows only above 88.723).
+//    Softmax only evaluates x <= 0.
+//  * GeLU uses the tanh form 0.5 v (1 + tanh(sqrt(2/pi)(v + 0.044715
+//    v^3))) and its exact derivative, with the tanh above.
+//  * Stateless dropout hashes each element's global index (splitmix64
+//    finalizer, no transcendental); its masks are exact, not
+//    approximate.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 
 namespace mls::kernels {
@@ -130,21 +156,22 @@ void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
 void bmm(const float* a, const float* b, float* c, int64_t nb, int64_t m,
          int64_t n, int64_t k, bool trans_a, bool trans_b);
 
+// --------------------------------------------------- transcendental tier
+// Documented error bounds of the two approximations (see the header
+// comment); test_kernels sweeps both against double precision.
+inline constexpr double kTanhMaxAbsError = 5e-7;
+inline constexpr double kExpMaxRelError = 2e-7;
+
+// y[i] = tanh(x[i]) / exp(x[i]) with the library's approximations.
+void tanh_approx(const float* x, float* y, int64_t n);
+void exp_approx(const float* x, float* y, int64_t n);
+
 // -------------------------------------------------------- fused epilogues
-// GeLU (tanh approximation) scalar bodies, shared by the fused and the
-// composed (ops::gelu / ops::gelu_grad) paths so both compute the same
-// expression.
-inline float gelu_value(float v) {
-  constexpr float kC = 0.7978845608028654f;  // sqrt(2/pi)
-  return 0.5f * v * (1.0f + std::tanh(kC * (v + 0.044715f * v * v * v)));
-}
-inline float gelu_derivative(float v) {
-  constexpr float kC = 0.7978845608028654f;
-  const float u = kC * (v + 0.044715f * v * v * v);
-  const float t = std::tanh(u);
-  const float dudv = kC * (1.0f + 3.0f * 0.044715f * v * v);
-  return 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * dudv;
-}
+// y[i] = gelu(x[i]) and dx[i] = dy[i] * gelu'(x[i]): the composed
+// ops::gelu / ops::gelu_grad. They share the per-element bodies of the
+// fused forms below, so composed and fused paths agree bitwise.
+void gelu(const float* x, float* y, int64_t n);
+void gelu_grad(const float* x, const float* dy, float* dx, int64_t n);
 
 // y[r,j] = gelu(x[r,j] + bias[j]) in one sweep (no bias-added
 // intermediate is materialized).
@@ -166,6 +193,21 @@ void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
 // given the forward *output* y.
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha);
+
+// ------------------------------------------------------------- dropout
+// Stateless inverted dropout over a local tensor of row-major shape
+// dims[0..nd) whose element at local coordinate c has global index
+// base + sum_d c[d] * strides[d] (ops::IndexMap). Element kept iff
+// hash64(seed ^ global index) >= p * (2^64 - 1); mask is 1/0 and
+// y = x / (1 - p) where kept, 0 where dropped. The keep decision is a
+// pure function of (seed, global index), so masks are bit-identical
+// under any sharding and any thread count.
+void dropout(const float* x, float* y, float* mask, int nd,
+             const int64_t* dims, const int64_t* strides, int64_t base,
+             float p, uint64_t seed);
+// dx = dy * mask / (1 - p).
+void dropout_grad(const float* dy, const float* mask, float* dx, int64_t n,
+                  float p);
 
 // ------------------------------------------------------ layout transposes
 // The two hot attention-layout transposes as blocked row copies (the

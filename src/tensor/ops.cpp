@@ -88,22 +88,14 @@ Tensor sum_to_last_dim(const Tensor& x) {
 
 Tensor gelu(const Tensor& x) {
   Tensor y = Tensor::empty(x.shape(), x.dtype());
-  const float* xp = x.data();
-  float* yp = y.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) yp[i] = kernels::gelu_value(xp[i]);
+  kernels::gelu(x.data(), y.data(), x.numel());
   return y;
 }
 
 Tensor gelu_grad(const Tensor& x, const Tensor& dy) {
   MLS_CHECK(x.shape() == dy.shape());
   Tensor dx = Tensor::empty(x.shape(), x.dtype());
-  const float* xp = x.data();
-  const float* gp = dy.data();
-  float* dp = dx.data();
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i)
-    dp[i] = gp[i] * kernels::gelu_derivative(xp[i]);
+  kernels::gelu_grad(x.data(), dy.data(), dx.data(), x.numel());
   return dx;
 }
 
@@ -273,21 +265,10 @@ IndexMap IndexMap::shard(const Shape& global_shape, int dim, int64_t offset,
   return m;
 }
 
-namespace {
-
-// splitmix64 finalizer: a high-quality stateless hash of a 64-bit key.
-uint64_t hash64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
                              const IndexMap& map) {
   MLS_CHECK(p >= 0.f && p < 1.f) << "dropout p=" << p;
+  MLS_CHECK_EQ(map.dims.size(), map.strides.size());
   int64_t map_numel = 1;
   for (int64_t d : map.dims) map_numel *= d;
   MLS_CHECK_EQ(map_numel, x.numel())
@@ -295,42 +276,16 @@ DropoutOut dropout_stateless(const Tensor& x, float p, uint64_t seed,
   DropoutOut out;
   out.y = Tensor::empty(x.shape(), x.dtype());
   out.mask = Tensor::empty(x.shape(), Dtype::U8);
-  const float inv_keep = 1.0f / (1.0f - p);
-  // keep iff hash(seed ^ gidx) / 2^64 >= p.
-  const uint64_t threshold =
-      static_cast<uint64_t>(p * 18446744073709551615.0);  // p * (2^64 - 1)
-  const float* xp = x.data();
-  float* yp = out.y.data();
-  float* mp = out.mask.data();
-  const int nd = static_cast<int>(map.dims.size());
-  std::vector<int64_t> coord(static_cast<size_t>(nd), 0);
-  int64_t gidx = map.base;
-  const int64_t n = x.numel();
-  for (int64_t i = 0; i < n; ++i) {
-    const bool keep =
-        (p == 0.0f) || (hash64(seed ^ static_cast<uint64_t>(gidx)) >= threshold);
-    mp[i] = keep ? 1.0f : 0.0f;
-    yp[i] = keep ? xp[i] * inv_keep : 0.0f;
-    // Advance the local coordinate and the corresponding global index.
-    for (int d = nd - 1; d >= 0; --d) {
-      gidx += map.strides[static_cast<size_t>(d)];
-      if (++coord[static_cast<size_t>(d)] < map.dims[static_cast<size_t>(d)]) break;
-      gidx -= map.strides[static_cast<size_t>(d)] * map.dims[static_cast<size_t>(d)];
-      coord[static_cast<size_t>(d)] = 0;
-    }
-  }
+  kernels::dropout(x.data(), out.y.data(), out.mask.data(),
+                   static_cast<int>(map.dims.size()), map.dims.data(),
+                   map.strides.data(), map.base, p, seed);
   return out;
 }
 
 Tensor dropout_grad(const Tensor& dy, const Tensor& mask, float p) {
   MLS_CHECK(dy.shape() == mask.shape());
   Tensor dx = Tensor::empty(dy.shape(), dy.dtype());
-  const float inv_keep = 1.0f / (1.0f - p);
-  const float* gp = dy.data();
-  const float* mp = mask.data();
-  float* dp = dx.data();
-  const int64_t n = dy.numel();
-  for (int64_t i = 0; i < n; ++i) dp[i] = gp[i] * mp[i] * inv_keep;
+  kernels::dropout_grad(dy.data(), mask.data(), dx.data(), dy.numel(), p);
   return dx;
 }
 

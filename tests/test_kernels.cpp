@@ -9,6 +9,10 @@
 //    run into uninitialized (NaN-canary) storage,
 //  * fused epilogues (bias+GeLU, scale+softmax) vs their composed
 //    equivalents at the ops and autograd levels,
+//  * the transcendental tier's contract: tanh/exp error bounds against
+//    double precision, NaN propagation and saturation,
+//  * row-wise stateless dropout bitwise equal to the per-element
+//    odometer it replaced, over sharded index maps,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
@@ -209,9 +213,19 @@ TEST(KernelFused, PinnedThreadCountsAreBitIdenticalForEpilogues) {
   const std::vector<float> dy = random_vec(rows * h, 83);
   const int64_t nbh = 8, sq = 64, sk = 64;  // softmax: [nbh, sq, sk]
   const std::vector<float> scores = random_vec(nbh * sq * sk, 84);
+  // Dropout over a [rows, h] shard (columns [h, 2h)) of a [rows, 2h]
+  // tensor: rows are decoded per slot from the odometer.
+  const int64_t ddims[] = {rows, h};
+  const int64_t dstrides[] = {2 * h, 1};
+  auto run_dropout = [&](std::vector<float>& out, std::vector<float>& mask) {
+    kernels::dropout(x.data(), out.data(), mask.data(), 2, ddims, dstrides,
+                     /*base=*/h, 0.3f, /*seed=*/85);
+  };
 
   std::vector<float> y1(x.size()), dx1(x.size()), db1(bias.size());
   std::vector<float> sm1(scores.size()), smg1(scores.size());
+  std::vector<float> g1(x.size()), gg1(x.size());
+  std::vector<float> do1(x.size()), dm1(x.size()), dg1(x.size());
   {
     ScopedEnv env("MLS_KERNEL_THREADS", "1");
     kernels::bias_gelu(x.data(), bias.data(), y1.data(), rows, h);
@@ -221,12 +235,19 @@ TEST(KernelFused, PinnedThreadCountsAreBitIdenticalForEpilogues) {
                             0.25f, /*causal=*/true);
     kernels::scaled_softmax_grad(sm1.data(), scores.data(), smg1.data(),
                                  nbh * sq, sk, 0.25f);
+    kernels::gelu(x.data(), g1.data(), rows * h);
+    kernels::gelu_grad(x.data(), dy.data(), gg1.data(), rows * h);
+    run_dropout(do1, dm1);
+    kernels::dropout_grad(dy.data(), dm1.data(), dg1.data(), rows * h, 0.3f);
   }
   for (const char* nt : {"2", "4", "7"}) {
     ScopedEnv env("MLS_KERNEL_THREADS", nt);
     std::vector<float> y(x.size(), -1.0f), dx(x.size(), -1.0f);
     std::vector<float> db(bias.size(), -1.0f);
     std::vector<float> sm(scores.size(), -1.0f), smg(scores.size(), -1.0f);
+    std::vector<float> g(x.size(), -1.0f), gg(x.size(), -1.0f);
+    std::vector<float> dout(x.size(), -1.0f), dm(x.size(), -1.0f);
+    std::vector<float> dg(x.size(), -1.0f);
     kernels::bias_gelu(x.data(), bias.data(), y.data(), rows, h);
     kernels::bias_gelu_grad(x.data(), bias.data(), dy.data(), dx.data(),
                             db.data(), rows, h);
@@ -234,6 +255,21 @@ TEST(KernelFused, PinnedThreadCountsAreBitIdenticalForEpilogues) {
                             /*causal=*/true);
     kernels::scaled_softmax_grad(sm.data(), scores.data(), smg.data(),
                                  nbh * sq, sk, 0.25f);
+    kernels::gelu(x.data(), g.data(), rows * h);
+    kernels::gelu_grad(x.data(), dy.data(), gg.data(), rows * h);
+    run_dropout(dout, dm);
+    kernels::dropout_grad(dy.data(), dm.data(), dg.data(), rows * h, 0.3f);
+    EXPECT_EQ(0, std::memcmp(g1.data(), g.data(), sizeof(float) * g.size()))
+        << "gelu threads=" << nt;
+    EXPECT_EQ(0, std::memcmp(gg1.data(), gg.data(), sizeof(float) * gg.size()))
+        << "gelu_grad threads=" << nt;
+    EXPECT_EQ(0,
+              std::memcmp(do1.data(), dout.data(), sizeof(float) * dout.size()))
+        << "dropout y threads=" << nt;
+    EXPECT_EQ(0, std::memcmp(dm1.data(), dm.data(), sizeof(float) * dm.size()))
+        << "dropout mask threads=" << nt;
+    EXPECT_EQ(0, std::memcmp(dg1.data(), dg.data(), sizeof(float) * dg.size()))
+        << "dropout_grad threads=" << nt;
     EXPECT_EQ(0, std::memcmp(y1.data(), y.data(), sizeof(float) * y.size()))
         << "bias_gelu threads=" << nt;
     EXPECT_EQ(0, std::memcmp(dx1.data(), dx.data(), sizeof(float) * dx.size()))
@@ -379,9 +415,10 @@ TEST(KernelFused, BiasGeluMatchesComposedOps) {
   Tensor bias = Tensor::randn(Shape{{h}}, rng, 0.5f);
   Tensor fused = ops::bias_gelu(x, bias);
   Tensor composed = ops::gelu(ops::add_bias(x, bias));
-  // Same formula, differently compiled TUs (kernels.cpp has its own
-  // codegen flags) — tolerance, not bitwise.
-  EXPECT_TRUE(fused.allclose(composed, 1e-5f, 1e-6f));
+  // One GeLU body, compiled once in kernels.cpp, and the bias add is a
+  // single rounding either way: bitwise.
+  EXPECT_EQ(0, std::memcmp(fused.data(), composed.data(),
+                           sizeof(float) * static_cast<size_t>(fused.numel())));
 }
 
 TEST(KernelFused, BiasGeluGradMatchesComposedOps) {
@@ -393,7 +430,8 @@ TEST(KernelFused, BiasGeluGradMatchesComposedOps) {
   ops::BiasGeluGrads g = ops::bias_gelu_grad(x, bias, dy);
   Tensor dx_composed = ops::gelu_grad(ops::add_bias(x, bias), dy);
   Tensor dbias_composed = ops::sum_to_last_dim(dx_composed);
-  EXPECT_TRUE(g.dx.allclose(dx_composed, 1e-5f, 1e-6f));
+  EXPECT_EQ(0, std::memcmp(g.dx.data(), dx_composed.data(),
+                           sizeof(float) * static_cast<size_t>(g.dx.numel())));
   EXPECT_TRUE(g.dbias.allclose(dbias_composed, 1e-4f, 1e-5f));
 }
 
@@ -527,6 +565,238 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
   EXPECT_TRUE(same_bits(one.sy, four.sy));
   EXPECT_TRUE(same_bits(one.dscores, four.dscores));
   EXPECT_TRUE(same_bits(one.dv, four.dv));
+}
+
+// ------------------------------------------------ transcendental tier
+
+// Evenly spaced float grid over [lo, hi], n points.
+std::vector<float> grid(float lo, float hi, int64_t n) {
+  std::vector<float> v(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    v[static_cast<size_t>(i)] = static_cast<float>(
+        lo + (static_cast<double>(hi) - lo) * static_cast<double>(i) /
+                 static_cast<double>(n - 1));
+  }
+  return v;
+}
+
+TEST(KernelApprox, TanhWithinDocumentedBoundOnDenseSweep) {
+  const std::vector<float> x = grid(-12.0f, 12.0f, 2'000'001);
+  std::vector<float> y(x.size());
+  kernels::tanh_approx(x.data(), y.data(), static_cast<int64_t>(x.size()));
+  double worst = 0.0;
+  float worst_at = 0.0f;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double err = std::fabs(y[i] - std::tanh(static_cast<double>(x[i])));
+    if (err > worst) {
+      worst = err;
+      worst_at = x[i];
+    }
+  }
+  EXPECT_LE(worst, kernels::kTanhMaxAbsError) << "at x=" << worst_at;
+  // Odd symmetry is exact (the rational is odd, the clamp symmetric).
+  for (size_t i = 0; i < x.size(); ++i)
+    ASSERT_EQ(y[i], -y[x.size() - 1 - i]) << "x=" << x[i];
+}
+
+TEST(KernelApprox, ExpWithinDocumentedBoundOnDenseSweep) {
+  const std::vector<float> x = grid(-87.0f, 0.0f, 2'000'001);
+  std::vector<float> y(x.size());
+  kernels::exp_approx(x.data(), y.data(), static_cast<int64_t>(x.size()));
+  double worst = 0.0;
+  float worst_at = 0.0f;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const double ref = std::exp(static_cast<double>(x[i]));
+    const double err = std::fabs(y[i] - ref) / ref;
+    if (err > worst) {
+      worst = err;
+      worst_at = x[i];
+    }
+  }
+  EXPECT_LE(worst, kernels::kExpMaxRelError) << "at x=" << worst_at;
+  const float zero = 0.0f;
+  float e0 = -1.0f;
+  kernels::exp_approx(&zero, &e0, 1);
+  EXPECT_EQ(e0, 1.0f);
+}
+
+TEST(KernelApprox, SingleElementCallsMatchVectorSweepBitwise) {
+  // A one-element call runs the loop's scalar tail, a long call its
+  // vector body; where a row or a thread's chunk ends decides which
+  // one an element gets, so the two must agree bit for bit.
+  const std::vector<float> x = grid(-100.0f, 100.0f, 200'003);
+  const int64_t n = static_cast<int64_t>(x.size());
+  std::vector<float> ones(x.size(), 1.0f);
+  std::vector<float> t(x.size()), e(x.size()), g(x.size()), gg(x.size());
+  kernels::tanh_approx(x.data(), t.data(), n);
+  kernels::exp_approx(x.data(), e.data(), n);
+  kernels::gelu(x.data(), g.data(), n);
+  kernels::gelu_grad(x.data(), ones.data(), gg.data(), n);
+  for (size_t i = 0; i < x.size(); i += 7) {
+    float t1, e1, g1, gg1;
+    kernels::tanh_approx(&x[i], &t1, 1);
+    kernels::exp_approx(&x[i], &e1, 1);
+    kernels::gelu(&x[i], &g1, 1);
+    kernels::gelu_grad(&x[i], &ones[i], &gg1, 1);
+    ASSERT_EQ(0, std::memcmp(&t1, &t[i], sizeof(float))) << "tanh x=" << x[i];
+    ASSERT_EQ(0, std::memcmp(&e1, &e[i], sizeof(float))) << "exp x=" << x[i];
+    ASSERT_EQ(0, std::memcmp(&g1, &g[i], sizeof(float))) << "gelu x=" << x[i];
+    ASSERT_EQ(0, std::memcmp(&gg1, &gg[i], sizeof(float)))
+        << "gelu_grad x=" << x[i];
+  }
+}
+
+TEST(KernelApprox, NanInGivesNanOut) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float out = 0.0f;
+  kernels::tanh_approx(&nan, &out, 1);
+  EXPECT_TRUE(std::isnan(out)) << "tanh";
+  kernels::exp_approx(&nan, &out, 1);
+  EXPECT_TRUE(std::isnan(out)) << "exp";
+  kernels::gelu(&nan, &out, 1);
+  EXPECT_TRUE(std::isnan(out)) << "gelu";
+  const float one = 1.0f;
+  kernels::gelu_grad(&nan, &one, &out, 1);
+  EXPECT_TRUE(std::isnan(out)) << "gelu_grad";
+  const float zero_bias = 0.0f;
+  kernels::bias_gelu(&nan, &zero_bias, &out, 1, 1);
+  EXPECT_TRUE(std::isnan(out)) << "bias_gelu";
+
+  // Softmax: a NaN score poisons its own row, and only that row.
+  const int64_t rows = 3, n = 17;
+  std::vector<float> x = random_vec(rows * n, 91);
+  x[n + 5] = nan;  // row 1
+  std::vector<float> y(x.size());
+  kernels::scaled_softmax(x.data(), y.data(), rows, 1, n, 0.5f,
+                          /*causal=*/false);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < n; ++j) {
+      EXPECT_EQ(r == 1, std::isnan(y[static_cast<size_t>(r * n + j)]))
+          << "row " << r << " col " << j;
+    }
+  }
+}
+
+TEST(KernelApprox, SaturatesAtLargeMagnitudes) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> big = {7.9053112f, 8.0f, 20.0f, 1e4f, 1e30f, inf};
+  for (float v : big) {
+    float t = 0.0f;
+    kernels::tanh_approx(&v, &t, 1);
+    EXPECT_EQ(t, 1.0f) << "tanh(" << v << ")";
+    const float nv = -v;
+    kernels::tanh_approx(&nv, &t, 1);
+    EXPECT_EQ(t, -1.0f) << "tanh(" << nv << ")";
+  }
+  for (float v : {-87.5f, -100.0f, -1e30f, -inf}) {
+    float e = 1.0f;
+    kernels::exp_approx(&v, &e, 1);
+    EXPECT_EQ(e, 0.0f) << "exp(" << v << ")";
+  }
+  for (float v : {88.5f, 100.0f, 1e30f, inf}) {
+    float e = 0.0f;
+    kernels::exp_approx(&v, &e, 1);
+    EXPECT_EQ(e, inf) << "exp(" << v << ")";
+  }
+  // GeLU tends to the identity / zero, and its derivative to 1 / 0.
+  const float one = 1.0f;
+  for (float v : {10.0f, 30.0f, 1e4f}) {
+    float g = 0.0f, d = 0.0f;
+    kernels::gelu(&v, &g, 1);
+    kernels::gelu_grad(&v, &one, &d, 1);
+    EXPECT_EQ(g, v) << "gelu(" << v << ")";
+    EXPECT_EQ(d, 1.0f) << "gelu'(" << v << ")";
+    const float nv = -v;
+    kernels::gelu(&nv, &g, 1);
+    kernels::gelu_grad(&nv, &one, &d, 1);
+    EXPECT_EQ(g, 0.0f) << "gelu(" << nv << ")";
+    EXPECT_EQ(d, 0.0f) << "gelu'(" << nv << ")";
+  }
+}
+
+// ---------------------------------------------------- stateless dropout
+
+// The per-element odometer kernels::dropout replaced, kept verbatim as
+// the bitwise reference: advance the global index element by element.
+uint64_t reference_hash64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+void reference_dropout(const std::vector<float>& x, std::vector<float>& y,
+                       std::vector<float>& mask, float p, uint64_t seed,
+                       const ops::IndexMap& map) {
+  const float inv_keep = 1.0f / (1.0f - p);
+  const uint64_t threshold =
+      static_cast<uint64_t>(p * 18446744073709551615.0);
+  const int nd = static_cast<int>(map.dims.size());
+  std::vector<int64_t> coord(static_cast<size_t>(nd), 0);
+  int64_t gidx = map.base;
+  for (size_t i = 0; i < x.size(); ++i) {
+    const bool keep = (p == 0.0f) ||
+        (reference_hash64(seed ^ static_cast<uint64_t>(gidx)) >= threshold);
+    mask[i] = keep ? 1.0f : 0.0f;
+    y[i] = keep ? x[i] * inv_keep : 0.0f;
+    for (int d = nd - 1; d >= 0; --d) {
+      const auto du = static_cast<size_t>(d);
+      gidx += map.strides[du];
+      if (++coord[du] < map.dims[du]) break;
+      gidx -= map.strides[du] * map.dims[du];
+      coord[du] = 0;
+    }
+  }
+}
+
+TEST(KernelDropout, RowWiseMatchesPerElementOdometerOnShardedMaps) {
+  struct Case {
+    const char* name;
+    Shape global;
+    int dim;  // -1: identity map
+    int64_t offset, len;
+  };
+  const std::vector<Case> cases = {
+      {"identity", Shape{{3, 5, 7}}, -1, 0, 0},
+      {"identity-1d", Shape{{37}}, -1, 0, 0},
+      {"shard-dim0-base", Shape{{6, 5, 7}}, 0, 2, 3},
+      {"shard-dim1", Shape{{3, 10, 7}}, 1, 5, 5},
+      {"shard-dim2", Shape{{3, 5, 14}}, 2, 7, 7},
+      // Large enough to split rows across pool slots.
+      {"shard-dim1-pooled", Shape{{16, 64, 128}}, 1, 32, 32},
+      {"shard-dim2-pooled", Shape{{32, 16, 128}}, 2, 64, 64},
+  };
+  for (const char* nt : {"1", "4"}) {
+    ScopedEnv env("MLS_KERNEL_THREADS", nt);
+    for (const Case& c : cases) {
+      const ops::IndexMap map =
+          c.dim < 0 ? ops::IndexMap::identity(c.global)
+                    : ops::IndexMap::shard(c.global, c.dim, c.offset, c.len);
+      const Shape local(map.dims);
+      Rng rng(101);
+      Tensor x = Tensor::randn(local, rng);
+      const std::vector<float> xv(x.data(), x.data() + x.numel());
+      for (float p : {0.0f, 0.1f, 0.5f}) {
+        std::vector<float> want_y(xv.size()), want_m(xv.size());
+        reference_dropout(xv, want_y, want_m, p, 4242, map);
+        ops::DropoutOut got = ops::dropout_stateless(x, p, 4242, map);
+        const size_t bytes = sizeof(float) * xv.size();
+        EXPECT_EQ(0, std::memcmp(want_m.data(), got.mask.data(), bytes))
+            << c.name << " p=" << p << " threads=" << nt;
+        EXPECT_EQ(0, std::memcmp(want_y.data(), got.y.data(), bytes))
+            << c.name << " p=" << p << " threads=" << nt;
+
+        Tensor dy = Tensor::randn(local, rng);
+        Tensor dx = ops::dropout_grad(dy, got.mask, p);
+        const float inv_keep = 1.0f / (1.0f - p);
+        std::vector<float> want_dx(xv.size());
+        for (size_t i = 0; i < xv.size(); ++i)
+          want_dx[i] = dy.data()[i] * want_m[i] * inv_keep;
+        EXPECT_EQ(0, std::memcmp(want_dx.data(), dx.data(), bytes))
+            << c.name << " dropout_grad p=" << p << " threads=" << nt;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- layout fast paths
