@@ -1,16 +1,18 @@
 // mls-verify: offline plan verifier (DESIGN.md §12).
 //
-// Derives the complete per-rank collective schedule of a training
-// iteration (and the serve decode loop) symbolically from a
-// ModelConfig — no threads, no tensors — then proves three properties:
+// Records the complete per-rank collective schedule of one training
+// iteration (and of two serve decode steps) by running the real code
+// once on a tiny real world with the comm analyzer on, then proves
+// three properties over what the ranks issued:
 //
 //   1. schedule  — every rank of every group issues the same collective
-//                  sequence (the runtime ledger's cross-rank check, but
-//                  before any world exists);
+//                  sequence (the runtime ledger's cross-rank check);
 //   2. deadlock  — the happens-before graph over collectives and
 //                  send/recv pairs admits a full execution;
 //   3. budget    — the config's Table-2 activation bytes, model-state
-//                  bytes, KV bytes/token and per-iteration wire traffic.
+//                  bytes, KV bytes/token and per-iteration wire traffic
+//                  (the byte model must equal every communicator's
+//                  runtime TrafficStats).
 //
 // Modes:
 //   mls_verify                 verify one representative config, verbose
@@ -27,19 +29,20 @@
 #include <string>
 #include <vector>
 
-#include "analysis/ledger.h"
 #include "analysis/static/budget.h"
-#include "core/env.h"
-#include "analysis/static/trace_pipeline.h"
-#include "analysis/static/trace_serve.h"
+#include "analysis/static/record.h"
 #include "analysis/static/verify.h"
+#include "common/check.h"
+#include "core/env.h"
 #include "memory/activation_model.h"
+#include "memory/pressure.h"
 #include "model/config.h"
 
 namespace {
 
 using mls::model::ModelConfig;
 using mls::verify::Plan;
+using mls::verify::Recording;
 using mls::verify::StaticBudget;
 using mls::verify::Violation;
 
@@ -52,12 +55,6 @@ std::string config_label(const ModelConfig& cfg) {
      << " plan=" << mls::core::plan_kind_name(cfg.parallel_plan)
      << " rc=" << recompute_name(cfg.recompute);
   return os.str();
-}
-
-int64_t plan_events(const Plan& plan) {
-  int64_t n = 0;
-  for (const auto& prog : plan.ranks) n += static_cast<int64_t>(prog.size());
-  return n;
 }
 
 // --- JSON emission (hand-rolled; report values are numbers and short
@@ -141,28 +138,32 @@ void write_json(const std::string& path,
   out << "  ]\n}\n";
 }
 
-// Verify one config end to end: trace train + decode, run all checks.
-ConfigReport verify_config(const ModelConfig& cfg) {
+// A failed run's own violations; else the static checks over what the
+// run recorded.
+std::vector<Violation> checked(const Recording& rec) {
+  return rec.violations.empty() ? mls::verify::verify_plan(rec.plan)
+                                : rec.violations;
+}
+
+// Verify one config end to end: record train + decode, run all checks.
+// `train_plan`, when given, receives the recorded training plan.
+ConfigReport verify_config(const ModelConfig& cfg, Plan* train_plan = nullptr) {
   ConfigReport r;
   r.cfg = cfg;
-  mls::verify::TraceOptions topts;
-  if (cfg.interleave_m > 1) {
-    topts.schedule = mls::pipeline::Schedule::kInterleaved1F1B;
-  }
-  const Plan train = mls::verify::trace_train_iteration(cfg, topts);
-  r.train_events = plan_events(train);
-  r.groups = train.groups.size();
-  r.violations = mls::verify::verify_plan(train);
-  r.budget = mls::verify::compute_budget(cfg, train);
+  Recording train = mls::verify::record_train_iteration(cfg);
+  r.train_events = train.plan.num_events();
+  r.groups = train.plan.groups.size();
+  r.violations = checked(train);
+  // A run that failed has no complete schedule to count wire bytes on.
+  r.budget = mls::verify::compute_budget(
+      cfg, r.violations.empty() ? train.plan : Plan());
   if (cfg.t > 1) {
-    const Plan decode = mls::verify::trace_decode(cfg, /*steps=*/2,
-                                                  /*rows=*/2,
-                                                  /*sample_count=*/2);
-    r.decode_events = plan_events(decode);
-    for (auto& v : mls::verify::verify_plan(decode)) {
-      r.violations.push_back(std::move(v));
-    }
+    const Recording decode = mls::verify::record_decode(cfg, /*steps=*/2,
+                                                        /*rows=*/2);
+    r.decode_events = decode.plan.num_events();
+    for (auto& v : checked(decode)) r.violations.push_back(std::move(v));
   }
+  if (train_plan) *train_plan = std::move(train.plan);
   return r;
 }
 
@@ -234,7 +235,7 @@ int run_all(const std::string& report_path) {
   }
   write_json(report_path, reports);
   std::cout << "mls-verify: " << grid.size() << " configs, " << total_events
-            << " symbolic events, " << bad << " with violations\n"
+            << " recorded events, " << bad << " with violations\n"
             << "report: " << report_path << "\n";
   return bad == 0 ? 0 : 1;
 }
@@ -250,14 +251,14 @@ int run_single() {
   std::cout << "mls-verify: " << config_label(cfg) << " (world "
             << cfg.t * cfg.p * cfg.d << ", " << cfg.microbatches()
             << " microbatches)\n";
-  const ConfigReport r = verify_config(cfg);
-  const Plan train = mls::verify::trace_train_iteration(cfg);
-  std::cout << "  traced " << r.train_events << " train events + "
+  Plan train;
+  const ConfigReport r = verify_config(cfg, &train);
+  std::cout << "  recorded " << r.train_events << " train events + "
             << r.decode_events << " decode events across " << r.groups
             << " groups:\n";
   for (const auto& g : train.groups) {
     std::cout << "    " << g.name << " (" << g.size() << " ranks, "
-              << train.expected_records(g.name, 0).size()
+              << train.events_of(g.name, g.members.front()).size()
               << " events on rank 0)\n";
   }
   std::cout << "  schedule check: "
@@ -276,13 +277,10 @@ int run_single() {
   // Pressure plane: with MLS_MEM_BUDGET_BYTES set, predict offline
   // whether this config trips the watermarks and where the escalation
   // governor would settle.
-  const int64_t mem_budget =
-      mls::core::Env::integer("MLS_MEM_BUDGET_BYTES", -1);
-  if (mem_budget > 0) {
-    const auto forecast = mls::verify::forecast_pressure(
-        cfg, mem_budget, mls::core::Env::real("MLS_MEM_SOFT_PCT", 0.80),
-        mls::core::Env::real("MLS_MEM_HARD_PCT", 0.95));
-    std::cout << "  " << forecast.text() << "\n";
+  const auto pressure = mls::memory::PressureConfig::from_env();
+  if (pressure.enabled()) {
+    std::cout << "  " << mls::verify::forecast_pressure(cfg, pressure).text()
+              << "\n";
   }
   for (const Violation& v : r.violations) {
     std::cout << "  [" << v.check << "] " << v.message << "\n";
@@ -291,24 +289,24 @@ int run_single() {
   return r.violations.empty() ? 0 : 1;
 }
 
-// A deliberately broken plan: rank 0 was traced with sequence
-// parallelism, rank 1 without — the classic one-rank-flag-drift bug.
-// The verifier names both call sites.
+// A deliberately broken plan: rank 0 ran with sequence parallelism,
+// rank 1 without — the classic one-rank-flag-drift bug. The verifier
+// names both call sites.
 int run_demo_failure() {
+  using mls::analysis::OpKind;
+  const int f16 = static_cast<int>(mls::Dtype::F16);
+  const int64_t n_full = 16 * 2 * 32;  // s*b*h of the tiny config
   Plan plan(2);
   plan.add_group("world", {0, 1});
-  mls::verify::SymComm r0 = plan.comm("world", 0);
-  mls::verify::SymComm r1 = plan.comm("world", 1);
-  const int64_t n_full = 16 * 2 * 32;  // s*b*h of the tiny config
-  {
-    mls::analysis::SiteGuard site("ḡ(scatter_to_sp).fwd");
-    r0.reduce_scatter(n_full, 0, mls::Dtype::F16);
-  }
-  {
-    mls::analysis::SiteGuard site("f̄(reduce_from_tp).fwd");
-    r1.all_reduce(n_full, mls::Dtype::F16);
-  }
-  std::cout << "mls-verify --demo-failure: one rank traced with SP, one "
+  plan.ranks[0] = {{{.kind = OpKind::kReduceScatter, .dtype = f16,
+                     .count = n_full, .dim = 0,
+                     .site = "ḡ(scatter_to_sp).fwd"},
+                    "world"}};
+  plan.ranks[1] = {{{.kind = OpKind::kAllReduce, .reduce_op = 0,
+                     .dtype = f16, .count = n_full,
+                     .site = "f̄(reduce_from_tp).fwd"},
+                    "world"}};
+  std::cout << "mls-verify --demo-failure: one rank ran with SP, one "
                "without\n\n";
   const auto violations = mls::verify::verify_plan(plan);
   for (const Violation& v : violations) {
@@ -340,7 +338,12 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (demo_failure) return run_demo_failure();
-  if (all) return run_all(report_path);
-  return run_single();
+  try {
+    if (demo_failure) return run_demo_failure();
+    if (all) return run_all(report_path);
+    return run_single();
+  } catch (const mls::Error& e) {  // e.g. an unparsable MLS_* value
+    std::cerr << "mls-verify: " << e.what() << "\n";
+    return 2;
+  }
 }

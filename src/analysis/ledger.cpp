@@ -100,6 +100,7 @@ const char* SiteGuard::current() { return t_site; }
 
 namespace {
 std::atomic<int64_t> g_handle_leaks{0};
+std::atomic<int64_t> g_begin_order{0};  // CommRecord::order
 }  // namespace
 
 int64_t handle_leaks() { return g_handle_leaks.load(std::memory_order_relaxed); }
@@ -151,6 +152,8 @@ int64_t Ledger::begin(int rank, CommRecord rec) {
   {
     std::lock_guard<std::mutex> lock(rl.mu);
     rec.id = rl.next_id++;
+    // Under the rank lock, so order agrees with id within one ledger.
+    rec.order = g_begin_order.fetch_add(1, std::memory_order_relaxed);
     if (is_collective(rec.kind)) rec.seq = rl.next_seq++;
     rl.history.push_back(rec);
     // Trim completed history beyond the flight depth; in-flight events

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <sstream>
 
-#include "analysis/static/trace_serve.h"
+#include "serve/kv_cache.h"
 
 namespace mls::verify {
 
@@ -14,7 +14,8 @@ StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan) {
   b.total_first_stage =
       memory::total_activation_bytes_first_stage(cfg, b.technique);
   b.model_state_bytes = memory::model_state_bytes_per_rank(cfg).total();
-  b.kv_bytes_per_token = kv_layout_of(cfg, 1).logical_bytes_per_token();
+  b.kv_bytes_per_token =
+      serve::kv_layout(cfg, cfg.t, 1).logical_bytes_per_token();
   for (const Group& g : plan.groups) {
     for (int r = 0; r < g.size(); ++r) {
       const comm::TrafficStats st = predict_traffic(plan, g.name, r);
@@ -26,12 +27,11 @@ StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan) {
 }
 
 PressureForecast forecast_pressure(const model::ModelConfig& cfg,
-                                   int64_t budget_bytes, double soft_pct,
-                                   double hard_pct) {
+                                   const memory::PressureConfig& pressure) {
   PressureForecast f;
-  f.budget_bytes = budget_bytes;
-  f.soft_bytes = static_cast<double>(budget_bytes) * soft_pct;
-  f.hard_bytes = static_cast<double>(budget_bytes) * hard_pct;
+  f.budget_bytes = pressure.budget_bytes;
+  f.soft_bytes = static_cast<double>(pressure.budget_bytes) * pressure.soft_pct;
+  f.hard_bytes = static_cast<double>(pressure.budget_bytes) * pressure.hard_pct;
   const double state = memory::model_state_bytes_per_rank(cfg).total();
   const core::Recompute rungs[3] = {core::Recompute::kNone,
                                     core::Recompute::kSelective,

@@ -1,8 +1,8 @@
 // The machine-checkable byte budget (DESIGN.md §12): Table-2 activation
 // bytes, model-state bytes, serve KV bytes and total wire traffic for a
-// config, computed symbolically — plus a claim checker that turns a
-// wrong byte formula into a structured two-source violation (the
-// analytic model's formula vs the claimant's number).
+// config, from the §4 formulas and a recorded plan — plus a claim
+// checker that turns a wrong byte formula into a structured two-source
+// violation (the analytic model's formula vs the claimant's number).
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 
 #include "analysis/static/verify.h"
 #include "memory/activation_model.h"
+#include "memory/pressure.h"
 #include "model/config.h"
 
 namespace mls::verify {
@@ -27,7 +28,7 @@ struct StaticBudget {
 };
 
 // The budget implied by `cfg`; `plan` supplies the traffic totals (pass
-// the trace_train_iteration plan for the same config).
+// the record_train_iteration plan for the same config).
 StaticBudget compute_budget(const model::ModelConfig& cfg, const Plan& plan);
 
 // Checks a claimed per-layer activation byte count against the Table-2
@@ -59,9 +60,9 @@ struct PressureForecast {
   std::string text() const;  // mls_verify's human block
 };
 
+// `pressure` is the plane's own config (PressureConfig::from_env in
+// mls_verify), so the watermark defaults live in memory/pressure.h only.
 PressureForecast forecast_pressure(const model::ModelConfig& cfg,
-                                   int64_t budget_bytes,
-                                   double soft_pct = 0.80,
-                                   double hard_pct = 0.95);
+                                   const memory::PressureConfig& pressure);
 
 }  // namespace mls::verify

@@ -44,8 +44,12 @@ int64_t elem_bytes(int dtype) {
 std::vector<analysis::CommRecord> collective_stream(const Plan& plan,
                                                     const Group& g, int grank) {
   std::vector<analysis::CommRecord> out;
-  for (auto& r : plan.expected_records(g.name, grank)) {
-    if (analysis::is_collective(r.kind)) out.push_back(std::move(r));
+  for (const PlanEvent& e :
+       plan.events_of(g.name, g.members[static_cast<size_t>(grank)])) {
+    if (!analysis::is_collective(e.kind)) continue;
+    out.push_back(e);
+    // The ledger's own numbering; hand-built events leave it unset.
+    out.back().seq = static_cast<int64_t>(out.size()) - 1;
   }
   return out;
 }
@@ -176,14 +180,13 @@ std::vector<Violation> check_deadlock(const Plan& plan) {
   os << "deadlock: " << stuck.size() << " rank(s) cannot make progress\n";
   for (int r : stuck) {
     const PlanEvent* e = head(r);
-    os << "  rank " << r << " stuck in " << analysis::format_record(
-              to_record(*e))
+    os << "  rank " << r << " stuck in " << analysis::format_record(*e)
        << " [group " << e->group << "]";
     const int w = waits_on(r);
     if (w >= 0) {
       os << " — waits on rank " << w;
       if (const PlanEvent* h = head(w)) {
-        os << ", itself stuck in " << analysis::format_record(to_record(*h));
+        os << ", itself stuck in " << analysis::format_record(*h);
       } else {
         os << ", which already finished";
       }

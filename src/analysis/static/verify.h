@@ -12,8 +12,8 @@
 //    cycle is reported with each stuck rank's head event and site.
 //  * predict_traffic — per-rank comm::TrafficStats computed from the
 //    plan with the exact ring accounting comm.cpp implements (including
-//    the non-divisible chunk_ofs splits), so replay mode can demand
-//    byte equality, not approximation.
+//    the non-divisible chunk_ofs splits), so the recorder can demand
+//    byte equality with the runtime counters, not approximation.
 #pragma once
 
 #include <string>
@@ -25,7 +25,8 @@
 namespace mls::verify {
 
 struct Violation {
-  std::string check;    // "schedule" | "deadlock" | "budget" | "replay"
+  // "schedule" | "deadlock" | "budget" | "traffic" | "run"
+  std::string check;
   std::string group;    // analyzer group, "" when not group-scoped
   std::string message;  // full structured report (multi-line)
 };

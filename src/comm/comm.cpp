@@ -61,17 +61,18 @@ class World {
         opts(opts_in),
         barrier(size),
         bufs(size, nullptr) {
-    // The analyzer is strictly opt-in and irrelevant for single-rank
-    // groups: without a ledger every collective pays exactly one
-    // null-pointer branch.
-    if (size > 1 && opts.enabled()) {
+    // The analyzer is strictly opt-in: without a ledger every collective
+    // pays exactly one null-pointer branch. Single-rank groups get a
+    // ledger too (their events are part of the recorded schedule, see
+    // analysis/static/record.h) but no watchdog: nothing can hang there.
+    if (opts.enabled()) {
       ledger = std::make_shared<analysis::Ledger>(name, size, opts);
       // A rank that detects a mismatch is about to throw while its
       // peers head into a rendezvous that can never complete; poison
       // them with the report so every rank unwinds carrying it.
       ledger->set_failure_handler(
           [this](const std::string& report) { poison(report); });
-      if (opts.watchdog) {
+      if (opts.watchdog && size > 1) {
         watchdog = std::make_unique<analysis::Watchdog>(
             ledger, [this](const std::string& report) {
               std::fputs((report + "\n").c_str(), stderr);

@@ -40,6 +40,7 @@ struct TrafficStats {
   int64_t p2p_recv_count = 0;
   int64_t p2p_bytes_received = 0;
   void reset() { *this = TrafficStats{}; }
+  bool operator==(const TrafficStats&) const = default;
 };
 
 class World;
@@ -138,15 +139,15 @@ class Comm {
 
   // Analyzer group name ("world", "world/c3", ...). Empty for an
   // invalid handle. The static verifier keys its per-group plans on
-  // these names (analysis/static/replay.h).
+  // these names (analysis/static/record.h).
   std::string group_name() const;
 
   // Snapshot of this communicator's analyzer ledger: the retained
   // CommRecord history per group rank, oldest first (see
-  // analysis::Ledger::snapshot). Empty when the analyzer is off, the
-  // group has size 1, or history has been trimmed away — raise
-  // Options::flight_depth (ScopedOptions) before the run to retain
-  // everything. Pure read; costs nothing unless called.
+  // analysis::Ledger::snapshot). Empty when the analyzer is off;
+  // trimmed to Options::flight_depth events per rank — raise it
+  // (ScopedOptions) before the run to retain everything. Pure read;
+  // costs nothing unless called.
   std::vector<std::vector<analysis::CommRecord>> ledger_history() const;
 
   // Unblocks every rank of this communicator (and sub-communicators)

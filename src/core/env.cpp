@@ -1,10 +1,13 @@
 #include "core/env.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <optional>
+
+#include "common/check.h"
 
 namespace mls::core {
 
@@ -33,6 +36,11 @@ std::string lower(std::string s) {
   return s;
 }
 
+[[noreturn]] void unparsable(const char* name, const std::string& value,
+                             const char* expected) {
+  throw Error(std::string(name) + "='" + value + "' is not " + expected);
+}
+
 }  // namespace
 
 bool Env::flag(const char* name, bool def) {
@@ -41,15 +49,19 @@ bool Env::flag(const char* name, bool def) {
   const std::string s = lower(*v);
   if (s == "1" || s == "true" || s == "on" || s == "yes") return true;
   if (s == "0" || s == "false" || s == "off" || s == "no") return false;
-  return def;
+  unparsable(name, *v, "a flag (1/true/on/yes or 0/false/off/no)");
 }
 
 int64_t Env::integer(const char* name, int64_t def) {
   const auto v = lookup(name);
   if (!v) return def;
   char* end = nullptr;
+  errno = 0;
   const long long parsed = std::strtoll(v->c_str(), &end, 10);
-  return (end && *end == '\0' && end != v->c_str()) ? parsed : def;
+  if (end == v->c_str() || *end != '\0' || errno == ERANGE) {
+    unparsable(name, *v, "an integer");
+  }
+  return parsed;
 }
 
 double Env::real(const char* name, double def) {
@@ -57,7 +69,8 @@ double Env::real(const char* name, double def) {
   if (!v) return def;
   char* end = nullptr;
   const double parsed = std::strtod(v->c_str(), &end);
-  return (end && *end == '\0' && end != v->c_str()) ? parsed : def;
+  if (end == v->c_str() || *end != '\0') unparsable(name, *v, "a number");
+  return parsed;
 }
 
 std::string Env::str(const char* name, const std::string& def) {

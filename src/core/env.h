@@ -16,8 +16,10 @@ namespace mls::core {
 // first so tests can toggle behaviour without mutating the real
 // environment of a multi-threaded process (setenv is not thread-safe).
 struct Env {
-  // "1/true/on/yes" (any case) -> true; "0/false/off/no" -> false;
-  // unset or unparsable -> def.
+  // Unset -> def. A set value that does not parse throws mls::Error
+  // naming the variable and the value: a typo must not silently run
+  // with the default. Flags: "1/true/on/yes" (any case) -> true,
+  // "0/false/off/no" -> false.
   static bool flag(const char* name, bool def);
   static int64_t integer(const char* name, int64_t def);
   static double real(const char* name, double def);

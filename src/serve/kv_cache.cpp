@@ -11,6 +11,17 @@
 
 namespace mls::serve {
 
+KVLayout kv_layout(const model::ModelConfig& cfg, int tp_size,
+                   int64_t block_tokens) {
+  KVLayout lo;
+  lo.layers = cfg.L;
+  lo.heads_local = cfg.a / tp_size;
+  lo.d = cfg.h / cfg.a;
+  lo.block_tokens = block_tokens;
+  lo.max_ctx = cfg.s;
+  return lo;
+}
+
 namespace {
 
 void note_reserved(KVStats& st, int64_t logical_delta) {

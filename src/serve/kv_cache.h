@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "model/config.h"
 #include "tensor/tensor.h"
 
 namespace mls::serve {
@@ -51,6 +52,11 @@ struct KVLayout {
     return (tokens + block_tokens - 1) / block_tokens;
   }
 };
+
+// The layout of `cfg`'s cache on one of `tp_size` tensor-parallel
+// ranks: L layers of a/t heads of h/a floats, s positions.
+KVLayout kv_layout(const model::ModelConfig& cfg, int tp_size,
+                   int64_t block_tokens);
 
 struct KVStats {
   int64_t reserved_bytes = 0;  // logical bytes held by live sequences

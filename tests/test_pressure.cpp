@@ -9,13 +9,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/static/budget.h"
-#include "analysis/static/trace_serve.h"
 #include "comm/spmd.h"
 #include "common/memtracker.h"
 #include "core/env.h"
@@ -24,6 +24,7 @@
 #include "memory/pool_allocator.h"
 #include "memory/pressure.h"
 #include "model/generate.h"
+#include "serve/kv_cache.h"
 #include "serve/traffic.h"
 #include "train/trainer.h"
 
@@ -106,6 +107,58 @@ TEST(PressureConfig, MisorderedWatermarksAreRejected) {
   EnvVar soft("MLS_MEM_SOFT_PCT", "0.9");
   EnvVar hard("MLS_MEM_HARD_PCT", "0.8");  // hard below soft
   EXPECT_THROW(PressureConfig::from_env(), Error);
+}
+
+// ---------------------------------------------------------- env parsing
+// A set but unparsable MLS_* value is an error naming the variable and
+// the value — never a silent fallback to the default.
+
+std::string error_of(const std::function<void()>& read) {
+  try {
+    read();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "(no error)";
+}
+
+TEST(EnvParse, UnparsableIntegerThrows) {
+  {
+    EnvVar budget("MLS_MEM_BUDGET_BYTES", "1GiB");
+    const std::string msg = error_of([] { PressureConfig::from_env(); });
+    EXPECT_NE(msg.find("MLS_MEM_BUDGET_BYTES='1GiB'"), std::string::npos)
+        << msg;
+  }
+  EnvVar threads("MLS_KERNEL_THREADS", "four");
+  const std::string msg =
+      error_of([] { core::Env::integer("MLS_KERNEL_THREADS", 0); });
+  EXPECT_NE(msg.find("MLS_KERNEL_THREADS='four'"), std::string::npos) << msg;
+}
+
+TEST(EnvParse, UnparsableRealThrows) {
+  EnvVar budget("MLS_MEM_BUDGET_BYTES", "1000000");
+  EnvVar soft("MLS_MEM_SOFT_PCT", "80%");
+  const std::string msg = error_of([] { PressureConfig::from_env(); });
+  EXPECT_NE(msg.find("MLS_MEM_SOFT_PCT='80%'"), std::string::npos) << msg;
+}
+
+TEST(EnvParse, UnparsableFlagThrows) {
+  EnvVar pool("MLS_ALLOC_POOL", "enabled");
+  const std::string msg =
+      error_of([] { core::Env::flag("MLS_ALLOC_POOL", true); });
+  EXPECT_NE(msg.find("MLS_ALLOC_POOL='enabled'"), std::string::npos) << msg;
+}
+
+TEST(EnvParse, ValidValuesStillParse) {
+  EXPECT_EQ(core::Env::integer("MLS_ENV_PARSE_UNSET", 7), 7);
+  EnvVar i("MLS_ENV_PARSE_INT", "-1073741824");
+  EnvVar r("MLS_ENV_PARSE_REAL", "0.75");
+  EnvVar on("MLS_ENV_PARSE_ON", "On");
+  EnvVar off("MLS_ENV_PARSE_OFF", "no");
+  EXPECT_EQ(core::Env::integer("MLS_ENV_PARSE_INT", 0), -1073741824);
+  EXPECT_DOUBLE_EQ(core::Env::real("MLS_ENV_PARSE_REAL", 0), 0.75);
+  EXPECT_TRUE(core::Env::flag("MLS_ENV_PARSE_ON", false));
+  EXPECT_FALSE(core::Env::flag("MLS_ENV_PARSE_OFF", true));
 }
 
 // -------------------------------------------------- allocator OOM path
@@ -654,7 +707,7 @@ TEST(ServePressure, ByteBudgetClampsKvTokensAndPeakStaysUnder) {
     ServeConfig scfg;
     scfg.block_tokens = 4;
     scfg.kv_budget_tokens = 4096;  // the byte ceiling must win
-    const auto layout = verify::kv_layout_of(cfg, scfg.block_tokens);
+    const auto layout = serve::kv_layout(cfg, 1, scfg.block_tokens);
     scfg.mem_budget_bytes = layout.logical_bytes_per_token() * 32;
     ContinuousBatchScheduler sched(m, scfg);
     EXPECT_LE(sched.config().kv_budget_tokens, 32);
@@ -716,8 +769,13 @@ TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
   model::ModelConfig cfg = model::ModelConfig::tiny(1, 2);
   cfg.recompute = core::Recompute::kNone;
 
+  auto forecast_at = [&cfg](int64_t budget_bytes) {
+    memory::PressureConfig pressure;  // default watermarks
+    pressure.budget_bytes = budget_bytes;
+    return verify::forecast_pressure(cfg, pressure);
+  };
   // Probe run (any budget) to learn the per-rung residents.
-  const auto probe = verify::forecast_pressure(cfg, int64_t{1} << 40);
+  const auto probe = forecast_at(int64_t{1} << 40);
   EXPECT_GT(probe.resident_bytes[0], probe.resident_bytes[1]);
   EXPECT_GT(probe.resident_bytes[1], probe.resident_bytes[2]);
   EXPECT_EQ(probe.configured_rung, 0);
@@ -727,8 +785,8 @@ TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
 
   // Budget slightly above the kNone resident: the configured rung trips
   // soft (but not hard) and the governor settles on a cheaper rung.
-  const auto tight = verify::forecast_pressure(
-      cfg, static_cast<int64_t>(probe.resident_bytes[0] / 0.9) + 1);
+  const auto tight =
+      forecast_at(static_cast<int64_t>(probe.resident_bytes[0] / 0.9) + 1);
   EXPECT_TRUE(tight.can_trip_soft);
   EXPECT_FALSE(tight.can_trip_hard);
   EXPECT_GE(tight.floor_rung, 1);
@@ -736,8 +794,8 @@ TEST(Forecast, RungsShrinkResidencyAndVerdictsTrackTheBudget) {
   EXPECT_NE(tight.text().find("soft watermark"), std::string::npos);
 
   // Budget below even the full-recompute resident: nothing fits.
-  const auto hopeless = verify::forecast_pressure(
-      cfg, static_cast<int64_t>(probe.resident_bytes[2] / 0.96));
+  const auto hopeless =
+      forecast_at(static_cast<int64_t>(probe.resident_bytes[2] / 0.96));
   EXPECT_TRUE(hopeless.can_trip_hard);
   EXPECT_FALSE(hopeless.fits_at_full);
   EXPECT_EQ(hopeless.floor_rung, -1);
