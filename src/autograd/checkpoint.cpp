@@ -9,12 +9,11 @@ namespace {
 
 class CheckpointNode : public Node {
  public:
-  CheckpointNode(CheckpointFn fn, const std::vector<Var>& ins,
-                 const std::string& tag, bool pure_compute)
+  CheckpointNode(CheckpointFn fn, const std::vector<Var>& ins, bool pure_compute)
       : fn_(std::move(fn)), pure_compute_(pure_compute) {
     saved_.reserve(ins.size());
     for (const auto& in : ins) {
-      saved_.emplace_back(in.value(), tag, !in.is_param());
+      saved_.emplace_back(in.value(), !in.is_param());
       is_param_.push_back(in.is_param());
     }
   }
@@ -93,7 +92,7 @@ class CheckpointNode : public Node {
 }  // namespace
 
 Var checkpoint(const CheckpointFn& fn, const std::vector<Var>& inputs,
-               const std::string& tag, bool pure_compute) {
+               bool pure_compute) {
   bool any_requires = false;
   for (const auto& in : inputs) any_requires |= in.requires_grad();
   if (!GradMode::enabled() || !any_requires) {
@@ -111,7 +110,7 @@ Var checkpoint(const CheckpointFn& fn, const std::vector<Var>& inputs,
     out_value = fn(detached).value();
   }
 
-  auto node = std::make_shared<CheckpointNode>(fn, inputs, tag, pure_compute);
+  auto node = std::make_shared<CheckpointNode>(fn, inputs, pure_compute);
   return make_output(std::move(out_value), std::move(node), inputs);
 }
 

@@ -1,10 +1,11 @@
 // Activation checkpointing ("recomputation", Chen et al. 2016).
 //
-// checkpoint(fn, inputs) runs fn's forward pass with autograd disabled,
-// so none of fn's internal activations are saved; only the *inputs* are
-// stored (and charged to the tracker). During backward, fn is replayed
-// with autograd enabled to rebuild the internal activations, and the
-// subgraph is back-propagated immediately.
+// checkpoint(fn, inputs, pure_compute) runs fn's forward pass with
+// autograd disabled, so none of fn's internal activations are saved;
+// only the *inputs* are stored (and charged to the tracker's byte
+// counters). During backward, fn is replayed with autograd enabled to
+// rebuild the internal activations, and the subgraph is
+// back-propagated immediately.
 //
 // The paper's two recomputation modes are both built on this primitive:
 //  * full activation recomputation — fn is an entire transformer layer,
@@ -20,7 +21,6 @@
 #pragma once
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -29,9 +29,9 @@ namespace mls::ag {
 
 using CheckpointFn = std::function<Var(const std::vector<Var>&)>;
 
-// `tag` labels the stored inputs in the memory tracker (e.g.
-// "attn_core_ckpt"). If grad mode is off (e.g. inside an enclosing
-// checkpoint), this degenerates to calling fn directly.
+// If grad mode is off (e.g. inside an enclosing checkpoint), this
+// degenerates to calling fn directly. Parameter inputs are stored
+// uncharged; every other input is charged as a major activation.
 //
 // `pure_compute` declares that fn issues no collectives (true for the
 // attention core, false for a full transformer layer). Such a replay is
@@ -39,7 +39,6 @@ using CheckpointFn = std::function<Var(const std::vector<Var>&)>;
 // it inside a communication window instead of serially at the node —
 // same thread, same RNG sites, same tracker, so numerics are unchanged.
 Var checkpoint(const CheckpointFn& fn, const std::vector<Var>& inputs,
-               const std::string& tag = "checkpoint_in",
                bool pure_compute = false);
 
 }  // namespace mls::ag

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -12,26 +11,26 @@
 namespace mls::ag {
 
 // A tensor kept alive for the backward pass. Construction charges the
-// calling rank's MemoryTracker with the tensor's logical byte size;
-// reset()/destruction releases the charge. Parameters and other
-// non-activation tensors are saved with counted=false.
+// calling rank's MemoryTracker with the tensor's logical byte size (on
+// the major or minor counter); reset()/destruction releases exactly
+// that charge, once. Parameters and other non-activation tensors are
+// saved with counted=false.
 //
 // Move-only so a charge is owned by exactly one place.
 class SavedTensor {
  public:
   SavedTensor() = default;
-  SavedTensor(Tensor t, const std::string& tag, bool counted, bool major = true)
+  SavedTensor(Tensor t, bool counted, bool major = true)
       : t_(std::move(t)), counted_(counted), major_(major) {
     if (counted_) {
       bytes_ = t_.logical_bytes();
-      scoped_tag_ = MemoryTracker::instance().on_save(bytes_, tag, major_);
+      MemoryTracker::instance().on_save(bytes_, major_);
     }
   }
   SavedTensor(SavedTensor&& other) noexcept { *this = std::move(other); }
   SavedTensor& operator=(SavedTensor&& other) noexcept {
     reset();
     t_ = std::move(other.t_);
-    scoped_tag_ = std::move(other.scoped_tag_);
     bytes_ = other.bytes_;
     counted_ = other.counted_;
     major_ = other.major_;
@@ -51,7 +50,7 @@ class SavedTensor {
 
   void reset() {
     if (counted_) {
-      MemoryTracker::instance().on_release(bytes_, scoped_tag_, major_);
+      MemoryTracker::instance().on_release(bytes_, major_);
       counted_ = false;
     }
     t_ = Tensor();
@@ -59,7 +58,6 @@ class SavedTensor {
 
  private:
   Tensor t_;
-  std::string scoped_tag_;
   int64_t bytes_ = 0;
   bool counted_ = false;
   bool major_ = true;

@@ -11,20 +11,13 @@ MemoryTracker& MemoryTracker::instance() {
   return tracker;
 }
 
-std::string MemoryTracker::on_save(int64_t bytes, const std::string& tag,
-                                   bool major) {
+void MemoryTracker::on_save(int64_t bytes, bool major) {
   (major ? current_major_ : current_minor_) += bytes;
-  std::string full = scoped(tag);
-  by_tag_[full] += bytes;
   update_peak();
-  return full;
 }
 
-void MemoryTracker::on_release(int64_t bytes, const std::string& scoped_tag,
-                               bool major) {
+void MemoryTracker::on_release(int64_t bytes, bool major) {
   (major ? current_major_ : current_minor_) -= bytes;
-  auto it = by_tag_.find(scoped_tag);
-  if (it != by_tag_.end()) it->second -= bytes;
 }
 
 void MemoryTracker::on_alloc_extra(int64_t bytes) {
@@ -80,20 +73,6 @@ void MemoryTracker::reset() {
   current_major_ = current_minor_ = peak_ = extra_ = 0;
   kv_ = kv_peak_ = 0;
   pressure_soft_ = pressure_hard_ = shed_ = timeout_ = 0;
-  by_tag_.clear();
-  scopes_.clear();
-}
-
-void MemoryTracker::push_scope(const std::string& name) { scopes_.push_back(name); }
-
-void MemoryTracker::pop_scope() {
-  if (!scopes_.empty()) scopes_.pop_back();
-}
-
-std::string MemoryTracker::scoped(const std::string& tag) const {
-  std::string s;
-  for (const auto& sc : scopes_) s += sc + "/";
-  return s + tag;
 }
 
 }  // namespace mls

@@ -12,15 +12,16 @@
 //   * major — sbh-scale tensors; compared exactly against the formulas.
 //   * minor — sb-scale buffers (layer-norm mean/rstd, loss scalars);
 //     tracked so tests can assert they are indeed negligible.
+// The tracker keeps byte counters only (current major/minor and the
+// peak), not per-tensor labels: the paper's accounting is bytes per
+// layer, and a save on the hot path is one add plus a peak update.
 //
 // The tracker is thread_local: each simulated rank (one thread) owns an
 // independent instance, exactly like per-GPU memory.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 namespace mls {
 
@@ -33,14 +34,14 @@ class MemoryTracker {
   // The calling thread's (i.e. the calling rank's) tracker.
   static MemoryTracker& instance();
 
-  // Charges `bytes` under the current scope; returns the fully-scoped
-  // tag, which the caller must pass back to on_release (releases often
-  // happen during backward, after the saving scope has been popped).
-  std::string on_save(int64_t bytes, const std::string& tag, bool major = true);
-  void on_release(int64_t bytes, const std::string& scoped_tag, bool major = true);
+  // Charges / releases `bytes` of saved activation on the major or
+  // minor counter.
+  void on_save(int64_t bytes, bool major = true);
+  void on_release(int64_t bytes, bool major = true);
 
   // Extra non-activation allocations worth profiling (e.g. a pipeline
-  // stage's received-input buffers). Counted separately.
+  // stage's received-input buffers). They raise the peak, not
+  // current_bytes().
   void on_alloc_extra(int64_t bytes);
   void on_free_extra(int64_t bytes);
 
@@ -48,7 +49,6 @@ class MemoryTracker {
   int64_t current_major_bytes() const { return current_major_; }
   int64_t current_minor_bytes() const { return current_minor_; }
   int64_t peak_bytes() const { return peak_; }
-  int64_t extra_bytes() const { return extra_; }
 
   // Physical axis: bytes this rank's pool arena actually holds from
   // the system (fp32 simulation storage, params and transients
@@ -95,16 +95,7 @@ class MemoryTracker {
   int64_t shed_requests() const { return shed_; }
   int64_t timed_out_requests() const { return timeout_; }
 
-  // Per-tag live bytes (major + minor), for breakdown tables.
-  const std::map<std::string, int64_t>& by_tag() const { return by_tag_; }
-
   void reset();
-
-  // Scope labels: tags are prefixed with the current scope path, so a
-  // breakdown can distinguish e.g. "layer0/attn/softmax".
-  void push_scope(const std::string& name);
-  void pop_scope();
-  std::string scoped(const std::string& tag) const;
 
  private:
   void update_peak();
@@ -119,19 +110,6 @@ class MemoryTracker {
   int64_t pressure_hard_ = 0;
   int64_t shed_ = 0;
   int64_t timeout_ = 0;
-  std::map<std::string, int64_t> by_tag_;
-  std::vector<std::string> scopes_;
-};
-
-// RAII scope label.
-class TrackerScope {
- public:
-  explicit TrackerScope(const std::string& name) {
-    MemoryTracker::instance().push_scope(name);
-  }
-  ~TrackerScope() { MemoryTracker::instance().pop_scope(); }
-  TrackerScope(const TrackerScope&) = delete;
-  TrackerScope& operator=(const TrackerScope&) = delete;
 };
 
 }  // namespace mls

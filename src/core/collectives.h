@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -47,8 +46,7 @@ ag::Var scatter_to_sequence_parallel(const ag::Var& x, comm::Comm tp);
 // x_shard: [s/t, b, in]; w: [in, out] (or [out, in] with trans_b).
 ag::Var sp_gathered_matmul(const ag::Var& x_shard, const ag::Var& w,
                            comm::Comm tp, bool trans_b = false,
-                           bool sharded_save = true,
-                           const std::string& tag = "sp_linear_in");
+                           bool sharded_save = true);
 
 // Vocabulary-parallel embedding lookup: `table_shard` holds rows
 // [vocab_offset, vocab_offset + v/t) of the embedding table. Tokens

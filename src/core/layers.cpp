@@ -40,8 +40,7 @@ Tensor shard_blocked(const Tensor& full, int dim, int t, int r, int64_t blocks) 
 ColumnParallelLinear::ColumnParallelLinear(const ParallelEnv& env, int64_t in,
                                            int64_t out, Rng& master,
                                            float stddev, std::string name,
-                                           int64_t blocks)
-    : tag_(name) {
+                                           int64_t blocks) {
   const int t = env.tp_size();
   const int r = env.tp_rank();
   Rng wrng = master.fork(std::hash<std::string>{}(name) | 1);
@@ -57,16 +56,14 @@ Var ColumnParallelLinear::forward(const Var& x, const ParallelEnv& env) const {
 
 Var ColumnParallelLinear::forward_nobias(const Var& x,
                                          const ParallelEnv& env) const {
-  return env.plan().column_matmul(x, weight, /*trans_b=*/false, env,
-                                  tag_ + "_in");
+  return env.plan().column_matmul(x, weight, /*trans_b=*/false, env);
 }
 
 // ----------------------------------------------------- RowParallelLinear
 
 RowParallelLinear::RowParallelLinear(const ParallelEnv& env, int64_t in,
                                      int64_t out, Rng& master, float stddev,
-                                     std::string name)
-    : tag_(name) {
+                                     std::string name) {
   const int t = env.tp_size();
   const int r = env.tp_rank();
   Rng wrng = master.fork(std::hash<std::string>{}(name) | 1);
@@ -76,7 +73,7 @@ RowParallelLinear::RowParallelLinear(const ParallelEnv& env, int64_t in,
 }
 
 Var RowParallelLinear::forward(const Var& x, const ParallelEnv& env) const {
-  Var y_partial = ag::matmul(x, weight, /*trans_b=*/false, tag_ + "_in");
+  Var y_partial = ag::matmul(x, weight, /*trans_b=*/false);
   return finish(y_partial, env);
 }
 
@@ -138,8 +135,7 @@ Var ParallelSelfAttention::forward(const Var& x, const ParallelEnv& env) const {
   // The attention core issues no collectives, so its replay is
   // prefetchable into a backward comm window (overlap_recompute).
   Var ctx = (env.recompute == Recompute::kSelective)
-                ? ag::checkpoint(attn_core, {q, k, v}, "attn_core_ckpt",
-                                 /*pure_compute=*/true)
+                ? ag::checkpoint(attn_core, {q, k, v}, /*pure_compute=*/true)
                 : attn_core({q, k, v});
 
   Var ctx_sbh = ag::bhsd_to_sbh(ctx, heads_local);  // [s, b, h/t]
@@ -161,8 +157,7 @@ Var ParallelMLP::forward(const Var& x, const ParallelEnv& env) const {
   // bias+GeLU and the second GEMM route through the plan (folded TSP
   // fuses them into one node and stores only the pre-bias input).
   Var z1 = lin1.forward_nobias(x, env);
-  Var y_partial = env.plan().mlp_act_fc2(z1, lin1.bias, lin2.weight,
-                                         "mlp_gelu_in", lin2.input_tag());
+  Var y_partial = env.plan().mlp_act_fc2(z1, lin1.bias, lin2.weight);
   return lin2.finish(y_partial, env);
 }
 

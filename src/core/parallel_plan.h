@@ -26,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "autograd/var.h"
@@ -77,8 +76,7 @@ class ParallelPlan {
   // fused g+matmul with §4.2.2 sharded-input-save (SP). The saved
   // activation this op charges is the plan's main lever.
   virtual ag::Var column_matmul(const ag::Var& x, const ag::Var& w,
-                                bool trans_b, const ParallelEnv& env,
-                                const std::string& tag) const = 0;
+                                bool trans_b, const ParallelEnv& env) const = 0;
 
   // RowParallelLinear's exit: f̄ (all-reduce, replicated out) or ḡ
   // (reduce-scatter, sequence-sharded out).
@@ -98,8 +96,7 @@ class ParallelPlan {
   // z1 and the GeLU output; folded TSP fuses the pair and stores only
   // z1, recomputing the GeLU pointwise in backward.
   virtual ag::Var mlp_act_fc2(const ag::Var& z1, const ag::Var& b1,
-                              const ag::Var& w2, const std::string& gelu_tag,
-                              const std::string& fc2_tag) const;
+                              const ag::Var& w2) const;
 
   // After backward: sums gradients of params that are replicated across
   // the TP group but received only sequence-shard contributions

@@ -46,18 +46,16 @@ Var TransformerLayer::body(const Var& x, const ParallelEnv& env) const {
           ? ops::IndexMap::shard(global, 0, r * (s_ / t), s_ / t)
           : ops::IndexMap::identity(global);
 
-  Var a_in = ag::layernorm(x, ln1_gamma, ln1_beta, ln_eps_, "ln1_in");
+  Var a_in = ag::layernorm(x, ln1_gamma, ln1_beta, ln_eps_);
   Var a_out = attn.forward(a_in, env);
   Var a_drop = ag::dropout(a_out, env.effective_dropout(dropout_p_),
-                           env.dropout_seed(site_base_ + 1),
-                           map, "attn_dropout_mask");
+                           env.dropout_seed(site_base_ + 1), map);
   Var x1 = ag::add(a_drop, x);
 
-  Var m_in = ag::layernorm(x1, ln2_gamma, ln2_beta, ln_eps_, "ln2_in");
+  Var m_in = ag::layernorm(x1, ln2_gamma, ln2_beta, ln_eps_);
   Var m_out = mlp.forward(m_in, env);
   Var m_drop = ag::dropout(m_out, env.effective_dropout(dropout_p_),
-                           env.dropout_seed(site_base_ + 2),
-                           map, "mlp_dropout_mask");
+                           env.dropout_seed(site_base_ + 2), map);
   return ag::add(m_drop, x1);
 }
 
@@ -75,7 +73,7 @@ Var TransformerLayer::forward(const Var& x, const ParallelEnv& env) const {
   inner.recompute = Recompute::kNone;
   return ag::checkpoint(
       [this, inner](const std::vector<Var>& ins) { return body(ins[0], inner); },
-      {x}, "layer_ckpt_in", /*pure_compute=*/false);
+      {x}, /*pure_compute=*/false);
 }
 
 std::vector<Var> TransformerLayer::params() const {

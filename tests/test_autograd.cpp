@@ -9,7 +9,9 @@
 #include "autograd/checkpoint.h"
 #include "autograd/engine.h"
 #include "autograd/functions.h"
+#include "comm/spmd.h"
 #include "common/memtracker.h"
+#include "core/collectives.h"
 
 namespace mls::ag {
 namespace {
@@ -191,36 +193,40 @@ TEST_F(AutogradTest, EmbeddingCrossEntropyEndToEnd) {
   Var table = Var::param(Tensor::randn(Shape{{v, h}}, rng), "emb");
   std::vector<int64_t> ids = {1, 3, 5};
   std::vector<int64_t> targets = {2, 0, 6};
-  Var e = embedding(table, ids);
-  // Tied output layer: logits = e @ table^T.
-  Var logits = matmul(e, table, /*trans_b=*/true);
-  Var loss = cross_entropy(logits, targets);
-  backward(loss);
-  EXPECT_TRUE(table.has_grad());
-  EXPECT_GT(table.grad().max_abs(), 0.f);
-  // Loss is positive and finite.
-  EXPECT_GT(loss.item(), 0.f);
-  EXPECT_TRUE(std::isfinite(loss.item()));
+  // The model's vocab-parallel ops on a one-rank group (s=3, b=1).
+  spmd::run(1, [&](comm::Comm& c) {
+    Var e = core::vocab_parallel_embedding(table, ids, 3, 1, 0, c, false);
+    // Tied output layer: logits = e @ table^T.
+    Var logits = reshape(matmul(e, table, /*trans_b=*/true), Shape{{3, v}});
+    Var loss = core::vocab_parallel_cross_entropy(logits, targets, 0, c);
+    backward(loss);
+    EXPECT_TRUE(table.has_grad());
+    EXPECT_GT(table.grad().max_abs(), 0.f);
+    // Loss is positive and finite.
+    EXPECT_GT(loss.item(), 0.f);
+    EXPECT_TRUE(std::isfinite(loss.item()));
+  });
 }
 
 TEST_F(AutogradTest, StructuralOpsRoundTripGradient) {
   Rng rng(7);
   Tensor xv = Tensor::randn(Shape{{4, 2, 6}}, rng);
   Var x(xv.clone(), true);
-  auto parts = chunk(x, 3, /*dim=*/2);
-  Var y = cat({parts[2], parts[0], parts[1]}, 2);
-  Var z = permute(y, {1, 0, 2});
-  Var out = reshape(z, Shape{{2 * 4 * 6}});
-  Tensor dy = Tensor::randn(Shape{{48}}, rng);
+  auto parts = chunk(x, 3, /*dim=*/2);  // three [4, 2, 2] slices
+  Var y = sbh_to_bhsd(parts[1], /*heads=*/2);  // [2*2, 4, 1]
+  EXPECT_TRUE(bhsd_to_sbh(y, 2).value().allclose(parts[1].value(), 0, 0));
+  Var out = reshape(y, Shape{{16}});
+  Tensor dy = Tensor::randn(Shape{{16}}, rng);
   backward(out, dy);
-  // Gradient must be a permutation of dy with the same multiset of values.
-  EXPECT_TRUE(x.has_grad());
-  double s1 = 0, s2 = 0;
+  // The middle chunk's gradient is dy transposed back to [s, b, h];
+  // the other chunks get exact zeros.
+  const Tensor want = ops::bhsd_to_sbh(dy.reshape(Shape{{4, 4, 1}}), 2);
+  ASSERT_TRUE(x.has_grad());
   for (int64_t i = 0; i < 48; ++i) {
-    s1 += dy.data()[i];
-    s2 += x.grad().data()[i];
+    const int64_t j = i % 6;
+    const float expect = (j >= 2 && j < 4) ? want.data()[i / 6 * 2 + j - 2] : 0.f;
+    EXPECT_EQ(x.grad().data()[i], expect) << i;
   }
-  EXPECT_NEAR(s1, s2, 1e-4);
 }
 
 // ------------------------------------------------------ memory tracking

@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "autograd/node.h"
 #include "comm/barrier.h"
 #include "comm/mailbox.h"
 #include "common/memtracker.h"
@@ -53,15 +54,15 @@ TEST(Table, TrailingSeparatorDoesNotDouble) {
 TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  const std::string tag1 = mt.on_save(100, "x");
+  mt.on_save(100);
   EXPECT_EQ(mt.current_major_bytes(), 100);
-  mt.on_save(7, "m", /*major=*/false);
+  mt.on_save(7, /*major=*/false);
   EXPECT_EQ(mt.current_minor_bytes(), 7);
   EXPECT_EQ(mt.current_bytes(), 107);
   mt.on_alloc_extra(50);
   EXPECT_EQ(mt.peak_bytes(), 157);
   mt.on_free_extra(50);
-  mt.on_release(100, tag1);
+  mt.on_release(100);
   EXPECT_EQ(mt.current_major_bytes(), 0);
   EXPECT_EQ(mt.peak_bytes(), 157);  // peak is sticky
   mt.reset();
@@ -69,26 +70,31 @@ TEST(MemoryTracker, MajorMinorAndPeakAccounting) {
 }
 
 TEST(MemoryTracker, ScopedTagsSurviveScopeExit) {
+  // A saved tensor moved out of the scope that charged it releases
+  // exactly its own bytes, on its own counter, and only once.
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  std::string tag;
+  ag::SavedTensor kept;
   {
-    TrackerScope outer("layer0");
-    TrackerScope inner("attn");
-    tag = mt.on_save(64, "softmax_out");
+    ag::SavedTensor mask(Tensor::zeros(Shape{{4, 16}}, Dtype::U8), true);
+    ag::SavedTensor stats(Tensor::zeros(Shape{{4}}, Dtype::F32), true,
+                          /*major=*/false);
+    kept = std::move(mask);
+    EXPECT_EQ(mt.current_major_bytes(), 64);
+    EXPECT_EQ(mt.current_minor_bytes(), 16);
   }
-  EXPECT_EQ(tag, "layer0/attn/softmax_out");
-  EXPECT_EQ(mt.by_tag().at(tag), 64);
-  // Release after the scopes are gone still matches the charge.
-  mt.on_release(64, tag);
-  EXPECT_EQ(mt.by_tag().at(tag), 0);
+  EXPECT_EQ(mt.current_major_bytes(), 64);  // the shell released nothing
+  EXPECT_EQ(mt.current_minor_bytes(), 0);
+  kept.reset();
+  kept.reset();
   EXPECT_EQ(mt.current_bytes(), 0);
+  EXPECT_EQ(mt.peak_bytes(), 80);
 }
 
 TEST(MemoryTracker, PerThreadIsolation) {
   auto& mt = MemoryTracker::instance();
   mt.reset();
-  mt.on_save(10, "main");
+  mt.on_save(10);
   int64_t other_bytes = -1;
   std::thread other([&] {
     other_bytes = MemoryTracker::instance().current_bytes();

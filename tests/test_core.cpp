@@ -75,9 +75,10 @@ LayerRun run_layer(const ModelConfig& cfg, bool sp, Recompute rc,
 
 struct LayerCase {
   int t;
-  bool sp;
+  int sp;  // 0 or 1: an int leaves no padding for gtest to print in the name
   Recompute rc;
 };
+static_assert(sizeof(LayerCase) == 2 * sizeof(int) + sizeof(Recompute));
 
 class LayerEquivalence : public ::testing::TestWithParam<LayerCase> {};
 
@@ -93,7 +94,7 @@ TEST_P(LayerEquivalence, MatchesSerialReference) {
   ModelConfig serial_cfg = cfg;
   serial_cfg.t = 1;
   LayerRun ref = run_layer(serial_cfg, /*sp=*/false, Recompute::kNone, x, dy);
-  LayerRun run = run_layer(cfg, param.sp, param.rc, x, dy);
+  LayerRun run = run_layer(cfg, param.sp != 0, param.rc, x, dy);
 
   EXPECT_TRUE(run.out.allclose(ref.out, 1e-4f, 1e-5f)) << "forward mismatch";
   EXPECT_TRUE(run.dx.allclose(ref.dx, 1e-4f, 1e-5f)) << "dx mismatch";
@@ -105,23 +106,23 @@ INSTANTIATE_TEST_SUITE_P(
     AllModes, LayerEquivalence,
     ::testing::Values(
         // Pure serial sanity (checkpointing only).
-        LayerCase{1, false, Recompute::kSelective},
-        LayerCase{1, false, Recompute::kFull},
+        LayerCase{1, 0, Recompute::kSelective},
+        LayerCase{1, 0, Recompute::kFull},
         // Tensor parallel.
-        LayerCase{2, false, Recompute::kNone},
-        LayerCase{4, false, Recompute::kNone},
-        LayerCase{2, false, Recompute::kSelective},
-        LayerCase{2, false, Recompute::kFull},
+        LayerCase{2, 0, Recompute::kNone},
+        LayerCase{4, 0, Recompute::kNone},
+        LayerCase{2, 0, Recompute::kSelective},
+        LayerCase{2, 0, Recompute::kFull},
         // Tensor + sequence parallel.
-        LayerCase{2, true, Recompute::kNone},
-        LayerCase{4, true, Recompute::kNone},
-        LayerCase{2, true, Recompute::kSelective},
-        LayerCase{4, true, Recompute::kSelective},
-        LayerCase{2, true, Recompute::kFull},
-        LayerCase{4, true, Recompute::kFull}),
+        LayerCase{2, 1, Recompute::kNone},
+        LayerCase{4, 1, Recompute::kNone},
+        LayerCase{2, 1, Recompute::kSelective},
+        LayerCase{4, 1, Recompute::kSelective},
+        LayerCase{2, 1, Recompute::kFull},
+        LayerCase{4, 1, Recompute::kFull}),
     [](const ::testing::TestParamInfo<LayerCase>& info) {
       const auto& c = info.param;
-      return "t" + std::to_string(c.t) + (c.sp ? "_sp" : "_nosp") + "_" +
+      return "t" + std::to_string(c.t) + (c.sp != 0 ? "_sp" : "_nosp") + "_" +
              core::recompute_name(c.rc);
     });
 
@@ -199,16 +200,17 @@ std::vector<float> train_losses(ModelConfig cfg, int steps) {
 
 struct ModelCase {
   int t;
-  bool sp;
+  int sp;  // 0 or 1: an int leaves no padding for gtest to print in the name
   Recompute rc;
 };
+static_assert(sizeof(ModelCase) == 2 * sizeof(int) + sizeof(Recompute));
 
 class ModelEquivalence : public ::testing::TestWithParam<ModelCase> {};
 
 TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
   const auto param = GetParam();
   ModelConfig cfg = ModelConfig::tiny(param.t, /*layers=*/2);
-  cfg.sequence_parallel = param.sp;
+  cfg.sequence_parallel = param.sp != 0;
   cfg.recompute = param.rc;
 
   ModelConfig serial = ModelConfig::tiny(1, 2);
@@ -230,21 +232,21 @@ TEST_P(ModelEquivalence, LossTrajectoryMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllModes, ModelEquivalence,
-    ::testing::Values(ModelCase{2, false, Recompute::kNone},
-                      ModelCase{4, false, Recompute::kNone},
-                      ModelCase{2, false, Recompute::kSelective},
-                      ModelCase{2, false, Recompute::kFull},
-                      ModelCase{2, true, Recompute::kNone},
-                      ModelCase{4, true, Recompute::kNone},
-                      ModelCase{2, true, Recompute::kSelective},
-                      ModelCase{4, true, Recompute::kSelective},
-                      ModelCase{2, true, Recompute::kFull},
-                      ModelCase{4, true, Recompute::kFull},
-                      ModelCase{1, false, Recompute::kSelective},
-                      ModelCase{1, false, Recompute::kFull}),
+    ::testing::Values(ModelCase{2, 0, Recompute::kNone},
+                      ModelCase{4, 0, Recompute::kNone},
+                      ModelCase{2, 0, Recompute::kSelective},
+                      ModelCase{2, 0, Recompute::kFull},
+                      ModelCase{2, 1, Recompute::kNone},
+                      ModelCase{4, 1, Recompute::kNone},
+                      ModelCase{2, 1, Recompute::kSelective},
+                      ModelCase{4, 1, Recompute::kSelective},
+                      ModelCase{2, 1, Recompute::kFull},
+                      ModelCase{4, 1, Recompute::kFull},
+                      ModelCase{1, 0, Recompute::kSelective},
+                      ModelCase{1, 0, Recompute::kFull}),
     [](const ::testing::TestParamInfo<ModelCase>& info) {
       const auto& c = info.param;
-      return "t" + std::to_string(c.t) + (c.sp ? "_sp" : "_nosp") + "_" +
+      return "t" + std::to_string(c.t) + (c.sp != 0 ? "_sp" : "_nosp") + "_" +
              core::recompute_name(c.rc);
     });
 
