@@ -34,6 +34,7 @@ RULES=(
   "serve-raw-buffer|per-request buffer in src/serve off the pool arena (malloc, new[], byte/float vectors): serving state scales with concurrent sequences; KV blocks and decode scratch must be Tensors so bench_serve's numbers see every byte"
   "hot-permute|generic ops::/ag::permute on the model hot path (src/core, src/model, src/pipeline, src/train, src/runtime): it is an element-at-a-time gather; use the specialized blocked copies (ops::sbh_to_bhsd etc.)"
   "hot-libm|scalar libm tanh/exp (std::tanh, std::exp, tanhf, expf) in the kernel library (src/tensor/kernels*): every transcendental there is the shared branch-free approximation (fast_tanh / fast_exp), so the elementwise loops vectorize and fused and composed paths share one set of bits"
+  "hot-env|core::Env:: read in the kernel library (src/tensor/kernels*): every gemm/bmm/epilogue runs there, and an Env read takes a process-wide mutex, a map lookup and getenv; read the MLS_KERNEL_* knobs through the per-thread cache (knobs()) and mark its refresh reads lint:allow(hot-env)"
   "layers-direct-comm|direct collective wiring in src/core/layers.*: layers must route every TP/SP communication decision through the ParallelPlan strategy (env.plan()) — including core/collectives.h or calling Comm collectives / conjugate-pair helpers there re-hardwires the schedule the plan owns"
 )
 
@@ -230,13 +231,28 @@ match_hot_libm() {
   '
 }
 
+match_hot_env() {
+  # Comments and string literals are stripped first, so prose may name
+  # core::Env freely; only real calls count.
+  xargs -r awk '
+    {
+      line = $0
+      sub(/\/\/.*/, "", line)
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
+      if (line ~ /core::Env::[A-Za-z_]+[ \t]*\(/)
+        printf "%s:%d: core::Env read in the kernel library\n", \
+               FILENAME, FNR
+    }
+  '
+}
+
 # Per-rule file filter: which of the scanned files a rule looks at.
 files_for_rule() {
   case "$1" in
     serve-raw-buffer) grep -E '(^|/)src/serve/' || true ;;
     hot-permute) grep -E '(^|/)src/(core|model|pipeline|train|runtime)/' || true ;;
     layers-direct-comm) grep -E '(^|/)src/core/layers' || true ;;
-    hot-libm) grep -E '(^|/)src/tensor/kernels' || true ;;
+    hot-libm | hot-env) grep -E '(^|/)src/tensor/kernels' || true ;;
     *) cat ;;
   esac
 }

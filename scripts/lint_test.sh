@@ -51,6 +51,7 @@ expect_fires serve-raw-buffer serve_raw_buffer_bad.cpp
 expect_fires hot-permute      hot_permute_bad.cpp
 expect_fires layers-direct-comm layers_direct_comm_bad.cpp
 expect_fires hot-libm         hot_libm_bad.cpp
+expect_fires hot-env          hot_env_bad.cpp
 
 for rule in $("$LINT" --list | awk '{print $1}'); do
   expect_clean "$rule"

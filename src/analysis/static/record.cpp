@@ -154,7 +154,7 @@ Recording record_decode(const model::ModelConfig& cfg, int steps,
   cfg.validate();
   return record(cfg.t, [&](comm::Comm& world) {
     model::GPTModel model(cfg, world);
-    serve::DecodeEngine engine(model, /*overlap=*/false);
+    serve::DecodeEngine engine(model);
     auto cache = serve::make_paged_kv_cache(engine.layout(), rows * cfg.s);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
     for (int64_t i = 0; i < rows; ++i) seqs.push_back(cache->create(cfg.s));

@@ -1,6 +1,7 @@
 #include "core/env.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstdlib>
 #include <map>
@@ -14,6 +15,7 @@ namespace mls::core {
 namespace {
 
 std::mutex g_mu;
+std::atomic<uint64_t> g_generation{0};
 std::map<std::string, std::string>& overrides() {
   static std::map<std::string, std::string> m;
   return m;
@@ -81,11 +83,17 @@ std::string Env::str(const char* name, const std::string& def) {
 void Env::set(const std::string& name, const std::string& value) {
   std::lock_guard<std::mutex> lock(g_mu);
   overrides()[name] = value;
+  g_generation.fetch_add(1, std::memory_order_release);
 }
 
 void Env::clear(const std::string& name) {
   std::lock_guard<std::mutex> lock(g_mu);
   overrides().erase(name);
+  g_generation.fetch_add(1, std::memory_order_release);
+}
+
+uint64_t Env::generation() {
+  return g_generation.load(std::memory_order_acquire);
 }
 
 }  // namespace mls::core

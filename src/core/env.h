@@ -27,6 +27,10 @@ struct Env {
   // Test-only overrides; shadow getenv until cleared.
   static void set(const std::string& name, const std::string& value);
   static void clear(const std::string& name);
+  // Bumped by every set/clear: a caller that caches parsed values
+  // re-reads them only when this changes (one atomic load instead of a
+  // locked map lookup + getenv per read).
+  static uint64_t generation();
 };
 
 // Which activations to recompute (paper §5).

@@ -33,16 +33,6 @@
 // Sequence-parallel models decode through the same TP-style collectives:
 // a one-position step has no sequence dimension to shard, and the
 // weight shards are identical with and without SP (DESIGN.md §11).
-//
-// Overlap. With `overlap` on (and t > 1, n >= 2), the batch is split
-// into two half-batches and each layer's two all-reduces are issued
-// nonblocking on the rank's comm stream (PR-1), software-pipelined so
-// one half's collective rides under the other half's attention/MLP
-// compute. The comm ordering contract (comm.h: one in-flight collective
-// per communicator, same sequence on all ranks) is kept by construction:
-// every handle is waited before the next collective launches, and the
-// group split depends only on n, which is identical on all ranks.
-// Numerics are unchanged — same partials, same reduction, same order.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +60,10 @@ struct DecodeRow {
 class DecodeEngine {
  public:
   // The model must be a whole-model instance (embedding + head). The
-  // engine only reads weights; `overlap` enables the pipelined
-  // collectives described above.
-  DecodeEngine(const model::GPTModel& model, bool overlap);
+  // engine only reads weights. `overlap` survives only for callers that
+  // still pass it: false is the one decode path, and true (the removed
+  // half-batch overlapped pipeline) throws mls::Error.
+  explicit DecodeEngine(const model::GPTModel& model, bool overlap = false);
 
   // Runs one decode step over `rows` (any mix of prefill and decode
   // positions; each row appends one KV position). Returns one entry per
@@ -87,24 +78,19 @@ class DecodeEngine {
   // ln1 -> QKV -> KV append -> per-row attention -> context -> proj
   // GEMM; returns the pre-reduction proj partial [n, h].
   Tensor attn_partial(int64_t layer, const Tensor& x,
-                      const std::vector<DecodeRow>& rows, int64_t row_begin);
-  // Consumes the reduced attention partial: residual + ln2 + lin1 +
-  // bias-GeLU + lin2 GEMM; returns the pre-reduction MLP partial and
-  // stores the attention-residual stream in *x1.
-  Tensor mlp_partial(int64_t layer, const Tensor& attn_reduced,
-                     const Tensor& x, Tensor* x1);
-  // Consumes the reduced MLP partial: bias + residual -> next layer x.
-  Tensor finish_layer(int64_t layer, const Tensor& mlp_reduced,
-                      const Tensor& x1);
+                      const std::vector<DecodeRow>& rows);
+  // One transformer layer: attention partial -> f̄ (serve.attn_reduce)
+  // -> bias + residual -> ln2 + lin1 + bias-GeLU + lin2 partial -> f̄
+  // (serve.mlp_reduce) -> bias + residual. Returns the next layer's x.
+  Tensor layer(int64_t l, const Tensor& x,
+               const std::vector<DecodeRow>& rows);
   void reduce(Tensor& t, const char* site);
-  std::vector<int64_t> sample_rows(const std::vector<Tensor>& hidden,
-                                   const std::vector<int64_t>& splits,
+  std::vector<int64_t> sample_rows(const Tensor& x,
                                    const std::vector<DecodeRow>& rows);
 
   const model::GPTModel& model_;
   comm::Comm tp_;
   KVLayout layout_;
-  bool overlap_ = false;
   float alpha_ = 1.0f;  // attention score scale, 1/sqrt(d)
   // Per-head decode scratch: gathered K/V [max_ctx, d], scores/probs
   // [max_ctx] (pooled once, reused every step).

@@ -197,24 +197,53 @@ inline void cpu_pause() {
 #endif
 }
 
+// The parsed MLS_KERNEL_* knobs. Every gemm/bmm/parallel epilogue reads
+// them, so each thread keeps its own copy and re-reads core::Env (a
+// locked map lookup + getenv per knob) only when Env::set/clear has
+// bumped the override generation since the last read.
+struct Knobs {
+  uint64_t generation = ~uint64_t{0};  // no live generation: read first
+  int64_t threads = 0;                 // MLS_KERNEL_THREADS; 0 = default
+  bool reference = false;
+  bool pin = false;
+  int spin_us = 0;
+};
+thread_local Knobs t_knobs;
+
+const Knobs& knobs() {
+  const uint64_t gen = core::Env::generation();  // lint:allow(hot-env)
+  if (t_knobs.generation == gen) return t_knobs;
+  // Parse into a local first: an unparsable value throws and leaves the
+  // cache stale, so the next call throws again.
+  Knobs k;
+  k.threads =
+      core::Env::integer("MLS_KERNEL_THREADS", 0);  // lint:allow(hot-env)
+  k.reference =
+      core::Env::flag("MLS_KERNEL_REF", false);  // lint:allow(hot-env)
+  k.pin = core::Env::flag("MLS_KERNEL_PIN", false);  // lint:allow(hot-env)
+  const int64_t spin_def = hardware_cores() > 1 ? 100 : 0;
+  const int64_t spin = core::Env::integer(  // lint:allow(hot-env)
+      "MLS_KERNEL_SPIN_US", spin_def);
+  k.spin_us = static_cast<int>(std::clamp<int64_t>(spin, 0, 1000000));
+  k.generation = gen;
+  t_knobs = k;
+  return t_knobs;
+}
+
 }  // namespace
 
 int threads() {
-  const int64_t t = core::Env::integer("MLS_KERNEL_THREADS", 0);
+  const int64_t t = knobs().threads;
   if (t > 0) return static_cast<int>(std::min<int64_t>(t, kMaxSlots));
   const int world = std::max(1, t_binding.world);
   return std::clamp(hardware_cores() / world, 1, kMaxSlots);
 }
 
-bool use_reference() { return core::Env::flag("MLS_KERNEL_REF", false); }
+bool use_reference() { return knobs().reference; }
 
-bool pin_enabled() { return core::Env::flag("MLS_KERNEL_PIN", false); }
+bool pin_enabled() { return knobs().pin; }
 
-int spin_us() {
-  const int64_t def = hardware_cores() > 1 ? 100 : 0;
-  const int64_t v = core::Env::integer("MLS_KERNEL_SPIN_US", def);
-  return static_cast<int>(std::clamp<int64_t>(v, 0, 1000000));
-}
+int spin_us() { return knobs().spin_us; }
 
 void bind_rank(int rank, int world) {
   t_binding = {rank, std::max(1, world)};

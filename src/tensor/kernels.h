@@ -79,12 +79,16 @@
 
 namespace mls::kernels {
 
-// Intra-op worker threads for the calling thread's kernels, re-read on
-// every call so tests can toggle via core::Env. MLS_KERNEL_THREADS set
-// to a positive value wins (clamped to [1, 64]); unset or 0 resolves
-// the default: host cores / the caller's bound world size (so W ranks
-// on a C-core host get C/W workers each and never oversubscribe), at
-// least 1.
+// The MLS_KERNEL_* knobs below are parsed once per thread and re-read
+// only after core::Env::set/clear, so tests can still toggle them
+// mid-process; a change to the real environment after the first kernel
+// call is not seen.
+//
+// Intra-op worker threads for the calling thread's kernels.
+// MLS_KERNEL_THREADS set to a positive value wins (clamped to [1, 64]);
+// unset or 0 resolves the default on every call: host cores / the
+// caller's bound world size (so W ranks on a C-core host get C/W
+// workers each and never oversubscribe), at least 1.
 int threads();
 // MLS_KERNEL_REF — route GEMMs through the reference scalar kernel.
 bool use_reference();

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -118,6 +119,29 @@ TEST(KernelGemm, DispatcherHonorsReferenceFlag) {
   EXPECT_EQ(0, std::memcmp(c_ref.data(), c_env.data(),
                            sizeof(float) * c_ref.size()));
   ASSERT_FALSE(kernels::use_reference());
+}
+
+TEST(KernelKnobs, CachedPerThreadUntilEnvChanges) {
+  // The knobs are cached per thread; every Env::set must still reach a
+  // thread that cached the old value, and an unparsable value must keep
+  // throwing rather than leave a stale value in the cache.
+  ScopedEnv env("MLS_KERNEL_THREADS", "3");
+  EXPECT_EQ(kernels::threads(), 3);  // cached on this thread
+  int before = 0, after = 0;
+  std::thread other([&] {
+    before = kernels::threads();
+    core::Env::set("MLS_KERNEL_THREADS", "5");
+    after = kernels::threads();
+  });
+  other.join();
+  EXPECT_EQ(before, 3);
+  EXPECT_EQ(after, 5);
+  EXPECT_EQ(kernels::threads(), 5);  // another thread's set invalidated it
+  core::Env::set("MLS_KERNEL_THREADS", "four");
+  EXPECT_THROW(kernels::threads(), Error);
+  EXPECT_THROW(kernels::threads(), Error);
+  core::Env::set("MLS_KERNEL_THREADS", "3");
+  EXPECT_EQ(kernels::threads(), 3);
 }
 
 // -------------------------------------------- thread-count bit identity

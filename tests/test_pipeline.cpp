@@ -163,10 +163,12 @@ std::vector<float> pipeline_losses(const ModelConfig& cfg, const Batch& batch,
 
 struct PipeCase {
   int t, p, m;
-  bool sp;
+  int sp;  // 0 or 1: an int leaves no padding for gtest to print in the name
   core::Recompute rc;
   Schedule sched;
 };
+static_assert(sizeof(PipeCase) ==
+              4 * sizeof(int) + sizeof(core::Recompute) + sizeof(Schedule));
 
 class PipelineEquivalence : public ::testing::TestWithParam<PipeCase> {};
 
@@ -175,7 +177,7 @@ TEST_P(PipelineEquivalence, LossTrajectoryMatchesSerial) {
   ModelConfig cfg = ModelConfig::tiny(pc.t, /*layers=*/4);
   cfg.p = pc.p;
   cfg.interleave_m = pc.m;
-  cfg.sequence_parallel = pc.sp;
+  cfg.sequence_parallel = pc.sp != 0;
   cfg.recompute = pc.rc;
   cfg.global_batch = 4 * cfg.b;  // 4 microbatches
   cfg.validate();
@@ -200,25 +202,25 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, PipelineEquivalence,
     ::testing::Values(
         // Pure pipeline parallelism.
-        PipeCase{1, 2, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{1, 4, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{1, 2, 1, false, core::Recompute::kNone, Schedule::kGPipe},
+        PipeCase{1, 2, 1, 0, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{1, 4, 1, 0, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{1, 2, 1, 0, core::Recompute::kNone, Schedule::kGPipe},
         // Pipeline + recomputation.
-        PipeCase{1, 2, 1, false, core::Recompute::kFull, Schedule::k1F1B},
-        PipeCase{1, 2, 1, false, core::Recompute::kSelective, Schedule::k1F1B},
+        PipeCase{1, 2, 1, 0, core::Recompute::kFull, Schedule::k1F1B},
+        PipeCase{1, 2, 1, 0, core::Recompute::kSelective, Schedule::k1F1B},
         // Pipeline + tensor parallel (+ sequence parallel + selective):
         // the paper's full configuration.
-        PipeCase{2, 2, 1, false, core::Recompute::kNone, Schedule::k1F1B},
-        PipeCase{2, 2, 1, true, core::Recompute::kSelective, Schedule::k1F1B},
+        PipeCase{2, 2, 1, 0, core::Recompute::kNone, Schedule::k1F1B},
+        PipeCase{2, 2, 1, 1, core::Recompute::kSelective, Schedule::k1F1B},
         // Interleaved schedules.
-        PipeCase{1, 2, 2, false, core::Recompute::kNone,
+        PipeCase{1, 2, 2, 0, core::Recompute::kNone,
                  Schedule::kInterleaved1F1B},
-        PipeCase{2, 2, 2, true, core::Recompute::kSelective,
+        PipeCase{2, 2, 2, 1, core::Recompute::kSelective,
                  Schedule::kInterleaved1F1B}),
     [](const ::testing::TestParamInfo<PipeCase>& info) {
       const auto& c = info.param;
       return "t" + std::to_string(c.t) + "_p" + std::to_string(c.p) + "_m" +
-             std::to_string(c.m) + (c.sp ? "_sp" : "") + "_" +
+             std::to_string(c.m) + (c.sp != 0 ? "_sp" : "") + "_" +
              core::recompute_name(c.rc) + "_" +
              (c.sched == Schedule::kGPipe
                   ? "gpipe"

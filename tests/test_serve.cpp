@@ -1,13 +1,14 @@
 // Serving-plane tests: the paged continuous-batching decode path must
 // emit bit-identical tokens to model::generate() for every sequence in
-// a mixed batch (serial and on a t=2 TP grid, paged and naive, overlap
-// on and off), plus block-table stress (admit/evict/reuse under
+// a mixed batch (serial and on a t=2 TP grid, paged and naive), plus
+// block-table stress (admit/evict/reuse under
 // preemption, fragmentation bounds, poisoned teardown) and the
 // KV-bytes MemoryTracker axis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "comm/spmd.h"
 #include "common/memtracker.h"
@@ -116,7 +117,6 @@ TEST(Serve, PagedDecodeMatchesGenerateTP2) {
     scfg.block_tokens = 4;
     scfg.kv_budget_tokens = 256;
     scfg.max_batch = 4;
-    scfg.overlap = true;  // exercises the pipelined decode collectives
     const auto got = serve_all(m, scfg, reqs);
     ASSERT_EQ(got.tokens.size(), reqs.size());
     for (const auto& r : reqs) {
@@ -183,22 +183,53 @@ TEST(Serve, NaiveAndPagedAgreeAndPagedReservesLess) {
   });
 }
 
+// Greedy-decodes `rows` sequences for `steps` steps on `eng` with its
+// own paged cache, feeding each sampled token back; returns them all.
+std::vector<int64_t> greedy_decode(serve::DecodeEngine& eng,
+                                   const ModelConfig& cfg, int64_t rows,
+                                   int steps) {
+  auto cache = serve::make_paged_kv_cache(eng.layout(), rows * cfg.s);
+  std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
+  std::vector<int64_t> next;
+  for (int64_t i = 0; i < rows; ++i) {
+    seqs.push_back(cache->create(cfg.s));
+    next.push_back((5 + 13 * i) % cfg.v);
+  }
+  std::vector<int64_t> out;
+  for (int step = 0; step < steps; ++step) {
+    std::vector<serve::DecodeRow> batch;
+    for (int64_t i = 0; i < rows; ++i) {
+      serve::DecodeRow r;
+      r.token = next[static_cast<size_t>(i)];
+      r.position = step;
+      r.kv = seqs[static_cast<size_t>(i)].get();
+      r.sample = true;
+      r.sample_step = step;
+      MLS_CHECK(r.kv->reserve(r.position));
+      batch.push_back(r);
+    }
+    next = eng.step(batch);
+    out.insert(out.end(), next.begin(), next.end());
+  }
+  return out;
+}
+
 TEST(Serve, OverlapOnOffSameTokens) {
+  // The half-batch overlapped decode pipeline was removed. The
+  // constructor's overlap flag survives for callers that still pass
+  // false: true is refused, false is the one decode path.
   ModelConfig cfg = ModelConfig::tiny(2, 2);
   cfg.b = 1;
   spmd::run(2, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    const auto reqs = mixed_requests(cfg);
-    ServeConfig on;
-    on.block_tokens = 4;
-    on.kv_budget_tokens = 256;
-    on.max_batch = 6;
-    on.overlap = true;
-    ServeConfig off = on;
-    off.overlap = false;
-    const auto got_on = serve_all(m, on, reqs);
-    const auto got_off = serve_all(m, off, reqs);
-    EXPECT_EQ(got_on.tokens, got_off.tokens);
+    m.set_inference(true);
+    EXPECT_THROW(serve::DecodeEngine(m, /*overlap=*/true), Error);
+    serve::DecodeEngine explicit_off(m, /*overlap=*/false);
+    serve::DecodeEngine plain(m);
+    const auto got_off = greedy_decode(explicit_off, cfg, /*rows=*/3, 5);
+    const auto got_plain = greedy_decode(plain, cfg, /*rows=*/3, 5);
+    EXPECT_EQ(got_off.size(), 15u);
+    EXPECT_EQ(got_off, got_plain);
   });
 }
 

@@ -489,7 +489,7 @@ TEST(ReplayServe, DecodeZeroDriftAndExactKvBytes) {
   std::vector<int64_t> kv_used(static_cast<size_t>(cfg.t), -1);
   spmd::run(cfg.t, [&](comm::Comm& c) {
     model::GPTModel m(cfg, c);
-    serve::DecodeEngine eng(m, /*overlap=*/false);
+    serve::DecodeEngine eng(m);
     auto cache = serve::make_paged_kv_cache(eng.layout(), /*budget=*/cfg.s * 4);
     std::vector<std::unique_ptr<serve::SequenceKV>> seqs;
     for (int64_t i = 0; i < n_rows; ++i) seqs.push_back(cache->create(cfg.s));
