@@ -22,8 +22,6 @@ DecodeEngine::DecodeEngine(const model::GPTModel& model, bool overlap)
   // block_tokens = 1: the cache's layout carries the real value.
   layout_ = kv_layout(cfg, model_.env().tp_size(), 1);
   alpha_ = 1.0f / std::sqrt(static_cast<float>(layout_.d));
-  kbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});
-  vbuf_ = Tensor::empty(Shape{{cfg.s, layout_.d}});
   sbuf_ = Tensor::empty(Shape{{cfg.s}});
   pbuf_ = Tensor::empty(Shape{{cfg.s}});
 }
@@ -83,17 +81,14 @@ Tensor DecodeEngine::attn_partial(int64_t layer, const Tensor& x,
     const float* v = q + 2 * hpt;
     for (int64_t head = 0; head < layout_.heads_local; ++head) {
       row.kv->append(row.position, layer, head, k + head * d, v + head * d);
-      row.kv->gather(layer, head, len, kbuf_.data(), vbuf_.data());
-      // scores [1, len] = q [1, d] @ K [len, d]ᵀ, then the same fused
-      // causal softmax row the full path computes, then one [1, d]
-      // context GEMM over the contiguous gathered V (see decode.h for
-      // why this must be a single k = len reduction).
-      kernels::gemm(q + head * d, kbuf_.data(), sbuf_.data(), 1, len, d,
-                    /*trans_a=*/false, /*trans_b=*/true);
-      kernels::scaled_softmax(sbuf_.data(), pbuf_.data(), /*rows=*/1,
-                              /*sq=*/1, /*sk=*/len, alpha_, /*causal=*/true);
-      kernels::gemm(pbuf_.data(), vbuf_.data(), ctxp + r * hpt + head * d, 1,
-                    d, len, /*trans_a=*/false, /*trans_b=*/false);
+      // Scores, the full path's causal softmax row and the context,
+      // read in place over the cached runs (see decode.h for why this
+      // is bitwise the full path's row len-1).
+      row.kv->runs(layer, head, len, runs_);
+      kernels::decode_attention(q + head * d, runs_.data(),
+                                static_cast<int64_t>(runs_.size()), d, alpha_,
+                                sbuf_.data(), pbuf_.data(),
+                                ctxp + r * hpt + head * d);
     }
   }
   return ops::matmul(ctx, ly.attn.proj.weight.value());

@@ -10,19 +10,23 @@
 //     independent of m/n tile position (tensor/kernels.h), so a row of
 //     a [n, ...] decode batch matches the same row inside a [s*b, ...]
 //     full forward bit-for-bit, whatever n is.
-//   * Attention scores are per-key dot products (k = d, unchanged);
-//     the softmax runs kernels::scaled_softmax on one [1, len] causal
-//     row, which reduces max/exp/sum over exactly the `len` live
-//     entries in the same sequential order as row len-1 of the full
-//     [s, s] call.
-//   * The probs·V contraction gathers the cached V rows into ONE
-//     contiguous [len, d] scratch and runs a single GEMM with k = len.
-//     The full path's k = s reduction only adds trailing terms whose
-//     probabilities are exact zeros (masked positions), and the kernel
-//     accumulates k-panels at fixed absolute boundaries — adding
-//     trailing zero terms never changes the prefix sum's bits. (Per-
-//     block partial GEMMs summed across pages would NOT be bit-safe:
-//     that reassociates the k sum. This is why gather exists.)
+//   * Attention reads the cache in place (kernels::decode_attention
+//     over SequenceKV::runs, one run per paged block), no gather. Each
+//     score is one sequential chain over c = 0..d-1 from 0 — the
+//     full path's score GEMM order for that element (k = d,
+//     unchanged). The softmax is kernels::scaled_softmax's row body on
+//     one [1, len] causal row, which reduces max/exp/sum over exactly
+//     the `len` live entries in the same sequential order as row
+//     len-1 of the full [s, s] call.
+//   * Each context element is ONE sequential chain over positions
+//     0..len-1 that runs across block boundaries: one accumulator per
+//     output element, flushed only at the GEMM's fixed absolute
+//     k-panel boundaries, never a per-block partial sum (summing
+//     per-block partials would reassociate the k sum). The full path's
+//     k = s reduction only adds trailing terms whose probabilities are
+//     exact zeros (masked positions); adding trailing zero terms never
+//     changes the prefix sum's bits. Under MLS_KERNEL_REF=1 both paths
+//     follow gemm_ref's orders instead.
 //   * Collectives: decode all-reduces partial sums that are bitwise
 //     equal to the full path's partials, over the same communicator.
 //     Ring all-reduce chunks reassociate the rank sum, but a 2-rank
@@ -92,9 +96,10 @@ class DecodeEngine {
   comm::Comm tp_;
   KVLayout layout_;
   float alpha_ = 1.0f;  // attention score scale, 1/sqrt(d)
-  // Per-head decode scratch: gathered K/V [max_ctx, d], scores/probs
-  // [max_ctx] (pooled once, reused every step).
-  Tensor kbuf_, vbuf_, sbuf_, pbuf_;
+  // Per-head decode scratch: scores/probs [max_ctx] (pooled once) and
+  // the cached runs of the (layer, head) being attended.
+  Tensor sbuf_, pbuf_;
+  std::vector<kernels::KVRun> runs_;
 };
 
 }  // namespace mls::serve

@@ -39,6 +39,34 @@ void note_used(KVStats& st, int64_t logical_delta) {
   st.used_peak = std::max(st.used_peak, st.used_bytes);
 }
 
+// Storage with `tokens` positions per slice (a paged block's
+// block_tokens, or a naive region's capacity) is laid out
+// [L, 2, heads_local, tokens * d]: V slices row-major [tokens, d], K
+// slices transposed [d, tokens]. Offset of one (layer, K=0/V=1, head)
+// slice:
+int64_t slice_offset(const KVLayout& lo, int64_t tokens, int64_t layer,
+                     int64_t kv, int64_t head) {
+  return ((layer * 2 + kv) * lo.heads_local + head) * tokens * lo.d;
+}
+
+// Writes one (position, layer, head): the K row as a column of the
+// transposed slice, the V row as a row.
+void store_kv(float* base, const KVLayout& lo, int64_t tokens, int64_t layer,
+              int64_t head, int64_t row, const float* k, const float* v) {
+  float* kd = base + slice_offset(lo, tokens, layer, 0, head) + row;
+  for (int64_t c = 0; c < lo.d; ++c) kd[c * tokens] = k[c];
+  std::memcpy(base + slice_offset(lo, tokens, layer, 1, head) + row * lo.d, v,
+              static_cast<size_t>(lo.d) * sizeof(float));
+}
+
+// The first `rows` positions of one (layer, head) slice as a run.
+kernels::KVRun slice_run(const float* base, const KVLayout& lo,
+                         int64_t tokens, int64_t layer, int64_t head,
+                         int64_t rows) {
+  return {base + slice_offset(lo, tokens, layer, 0, head),
+          base + slice_offset(lo, tokens, layer, 1, head), rows, tokens};
+}
+
 // ------------------------------------------------------------- paged
 
 class PagedKVCache;
@@ -54,8 +82,8 @@ class PagedSequenceKV final : public SequenceKV {
   bool reserve(int64_t pos) override;
   void append(int64_t pos, int64_t layer, int64_t head, const float* k,
               const float* v) override;
-  void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
-              float* v_out) const override;
+  void runs(int64_t layer, int64_t head, int64_t len,
+            std::vector<kernels::KVRun>& out) const override;
   int64_t cached_tokens() const override { return cached_; }
 
  private:
@@ -176,12 +204,7 @@ void PagedSequenceKV::append(int64_t pos, int64_t layer, int64_t head,
   MLS_CHECK_LT(pos / bt, static_cast<int64_t>(table_.size()))
       << "append without reserve";
   float* base = cache_->block_data(table_[static_cast<size_t>(pos / bt)]);
-  const int64_t row = pos % bt;
-  // [L, 2, heads_local, block_tokens, d]
-  float* kd = base + (((layer * 2 + 0) * lo.heads_local + head) * bt + row) * lo.d;
-  float* vd = base + (((layer * 2 + 1) * lo.heads_local + head) * bt + row) * lo.d;
-  std::memcpy(kd, k, static_cast<size_t>(lo.d) * sizeof(float));
-  std::memcpy(vd, v, static_cast<size_t>(lo.d) * sizeof(float));
+  store_kv(base, lo, bt, layer, head, pos % bt, k, v);
   // One decode step appends every (layer, head) of one position; count
   // the position once, when its first row lands.
   if (layer == 0 && head == 0) {
@@ -192,22 +215,15 @@ void PagedSequenceKV::append(int64_t pos, int64_t layer, int64_t head,
   }
 }
 
-void PagedSequenceKV::gather(int64_t layer, int64_t head, int64_t len,
-                             float* k_out, float* v_out) const {
+void PagedSequenceKV::runs(int64_t layer, int64_t head, int64_t len,
+                           std::vector<kernels::KVRun>& out) const {
   const KVLayout& lo = cache_->layout();
   const int64_t bt = lo.block_tokens;
+  out.clear();
   for (int64_t start = 0; start < len; start += bt) {
-    const float* base =
-        cache_->block_data(table_[static_cast<size_t>(start / bt)]);
-    const int64_t rows = std::min(bt, len - start);
-    const float* kd =
-        base + (((layer * 2 + 0) * lo.heads_local + head) * bt) * lo.d;
-    const float* vd =
-        base + (((layer * 2 + 1) * lo.heads_local + head) * bt) * lo.d;
-    std::memcpy(k_out + start * lo.d, kd,
-                static_cast<size_t>(rows * lo.d) * sizeof(float));
-    std::memcpy(v_out + start * lo.d, vd,
-                static_cast<size_t>(rows * lo.d) * sizeof(float));
+    out.push_back(slice_run(
+        cache_->block_data(table_[static_cast<size_t>(start / bt)]), lo, bt,
+        layer, head, std::min(bt, len - start)));
   }
 }
 
@@ -226,8 +242,8 @@ class NaiveSequenceKV final : public SequenceKV {
   }
   void append(int64_t pos, int64_t layer, int64_t head, const float* k,
               const float* v) override;
-  void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
-              float* v_out) const override;
+  void runs(int64_t layer, int64_t head, int64_t len,
+            std::vector<kernels::KVRun>& out) const override;
   int64_t cached_tokens() const override { return cached_; }
 
  private:
@@ -288,13 +304,7 @@ NaiveSequenceKV::~NaiveSequenceKV() {
 void NaiveSequenceKV::append(int64_t pos, int64_t layer, int64_t head,
                              const float* k, const float* v) {
   const KVLayout& lo = cache_->layout();
-  float* base = region_.data();
-  float* kd = base + (((layer * 2 + 0) * lo.heads_local + head) *
-                          capacity_tokens_ + pos) * lo.d;
-  float* vd = base + (((layer * 2 + 1) * lo.heads_local + head) *
-                          capacity_tokens_ + pos) * lo.d;
-  std::memcpy(kd, k, static_cast<size_t>(lo.d) * sizeof(float));
-  std::memcpy(vd, v, static_cast<size_t>(lo.d) * sizeof(float));
+  store_kv(region_.data(), lo, capacity_tokens_, layer, head, pos, k, v);
   if (layer == 0 && head == 0) {
     ++cached_;
     auto& st = cache_->mutable_stats();
@@ -303,16 +313,10 @@ void NaiveSequenceKV::append(int64_t pos, int64_t layer, int64_t head,
   }
 }
 
-void NaiveSequenceKV::gather(int64_t layer, int64_t head, int64_t len,
-                             float* k_out, float* v_out) const {
-  const KVLayout& lo = cache_->layout();
-  const float* base = region_.data();
-  const float* kd = base + (((layer * 2 + 0) * lo.heads_local + head) *
-                                capacity_tokens_) * lo.d;
-  const float* vd = base + (((layer * 2 + 1) * lo.heads_local + head) *
-                                capacity_tokens_) * lo.d;
-  std::memcpy(k_out, kd, static_cast<size_t>(len * lo.d) * sizeof(float));
-  std::memcpy(v_out, vd, static_cast<size_t>(len * lo.d) * sizeof(float));
+void NaiveSequenceKV::runs(int64_t layer, int64_t head, int64_t len,
+                           std::vector<kernels::KVRun>& out) const {
+  out.assign(1, slice_run(region_.data(), cache_->layout(), capacity_tokens_,
+                          layer, head, len));
 }
 
 }  // namespace

@@ -4,10 +4,14 @@
 //
 // Layout: one physical block covers `block_tokens` consecutive token
 // positions of ONE sequence across ALL layers and this rank's local
-// heads, stored as [L, 2, heads_local, block_tokens, d] (2 = K then V)
-// so each (layer, K/V, head) slice is a contiguous [block_tokens, d]
-// row range — appends are single-row writes and the per-head gather
-// into the decode scratch is block-sized memcpys, never a reshuffle.
+// heads, in a [L, 2, heads_local, block_tokens * d] footprint (2 = K
+// then V). Each (layer, head) V slice is row-major [block_tokens, d];
+// each K slice is stored transposed, [d, block_tokens], so decode's
+// score sweep reads contiguous key lanes. An append pays that transpose
+// once per position (d strided stores); decode then reads every block
+// in place as one run (SequenceKV::runs), with no copy per step. The
+// naive region uses the same per-slice layout with its whole capacity
+// as the token extent.
 //
 // Accounting runs on two axes, as everywhere in this repo:
 //   * physical — fp32 simulation bytes, owned by the rank's pooled
@@ -30,6 +34,7 @@
 #include <vector>
 
 #include "model/config.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 
 namespace mls::serve {
@@ -93,10 +98,13 @@ class SequenceKV {
   // head). reserve(pos) must have succeeded.
   virtual void append(int64_t pos, int64_t layer, int64_t head,
                       const float* k, const float* v) = 0;
-  // Copies positions [0, len) of (layer, head) into contiguous
-  // [len, d] scratch rows — the single-GEMM decode path's input.
-  virtual void gather(int64_t layer, int64_t head, int64_t len, float* k_out,
-                      float* v_out) const = 0;
+  // Positions [0, len) of (layer, head) as the contiguous runs they are
+  // stored in, in position order (one per paged block, one for the
+  // naive region), written to `out` (cleared first). Decode reads them
+  // in place (kernels::decode_attention); the pointers stay valid until
+  // the handle is destroyed.
+  virtual void runs(int64_t layer, int64_t head, int64_t len,
+                    std::vector<kernels::KVRun>& out) const = 0;
   // Token positions appended so far (layer 0, head 0 is the reference;
   // all layers advance together within one decode step).
   virtual int64_t cached_tokens() const = 0;

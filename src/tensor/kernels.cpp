@@ -149,6 +149,23 @@ void pack_a(const float* a, float* ap, int64_t mc, int64_t kc, int64_t rs_a,
   }
 }
 
+// a * b + c. Every multiply-add in this file is spelled with madd so
+// that no product feeds an addition implicitly: otherwise the
+// compiler's FMA contraction choice may differ between a loop's vector
+// body and its scalar tail (or between a vectorized and a scalar loop,
+// as in a sanitizer build), and which of the two an element lands in
+// depends on where its row, tile or thread's chunk ends. Chains that
+// must agree bitwise across kernels (the GEMMs and decode attention)
+// rely on it. On FMA targets it is one fused rounding; elsewhere no
+// contraction exists to differ.
+inline float madd(float a, float b, float c) {
+#ifdef __FMA__
+  return __builtin_fmaf(a, b, c);
+#else
+  return a * b + c;
+#endif
+}
+
 // --------------------------------------------------------- micro-kernel
 // C[MR x NR] tile from packed panels. The k-step body is written with
 // the j loop outermost and the MR row updates unrolled by hand inside
@@ -168,12 +185,12 @@ void micro_kernel(const float* ap, const float* bp, float* c, int64_t ldc,
     const float* a = ap + kk * MR;
     const float* b = bp + kk * NR;
     for (int64_t j = 0; j < NR; ++j) {
-      acc[0][j] += a[0] * b[j];
-      acc[1][j] += a[1] * b[j];
-      acc[2][j] += a[2] * b[j];
-      acc[3][j] += a[3] * b[j];
-      acc[4][j] += a[4] * b[j];
-      acc[5][j] += a[5] * b[j];
+      acc[0][j] = madd(a[0], b[j], acc[0][j]);
+      acc[1][j] = madd(a[1], b[j], acc[1][j]);
+      acc[2][j] = madd(a[2], b[j], acc[2][j]);
+      acc[3][j] = madd(a[3], b[j], acc[3][j]);
+      acc[4][j] = madd(a[4], b[j], acc[4][j]);
+      acc[5][j] = madd(a[5], b[j], acc[5][j]);
     }
   }
   if (accumulate) {
@@ -319,7 +336,7 @@ void gemm_ref(const float* a, const float* b, float* c, int64_t m, int64_t n,
       for (int64_t kk = 0; kk < k; ++kk) {
         const float av = A(i, kk);
         const float* brow = b + kk * n;
-        for (int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+        for (int64_t j = 0; j < n; ++j) crow[j] = madd(av, brow[j], crow[j]);
       }
     }
   } else {
@@ -766,20 +783,6 @@ namespace {
 // Clamps compare with `>` / `<`, which are false for NaN: NaN passes
 // through to the polynomial and out (std::min/max would swallow it).
 
-// a * b + c. Every multiply-add below is spelled with madd so that no
-// product feeds an addition implicitly: otherwise the compiler's FMA
-// contraction choice may differ between a loop's vector body and its
-// scalar tail, and which of the two an element lands in depends on
-// where its row or its thread's chunk ends. On FMA targets it is one
-// fused rounding; elsewhere no contraction exists to differ.
-inline float madd(float a, float b, float c) {
-#ifdef __FMA__
-  return __builtin_fmaf(a, b, c);
-#else
-  return a * b + c;
-#endif
-}
-
 inline float fast_tanh(float v) {
   // |tanh| is within 2.7e-7 of 1 from here on; the result is pinned to
   // exactly +-1 there by a select on v, so a constant-folded clamped
@@ -1015,6 +1018,102 @@ void gelu(const float* x, float* y, int64_t n) {
 void gelu_grad(const float* x, const float* dy, float* dx, int64_t n) {
   parallel_ranges(n, n, 16, [&](int64_t i0, int64_t i1) {
     for (int64_t i = i0; i < i1; ++i) dx[i] = dy[i] * gelu_derivative(x[i]);
+  });
+}
+
+// ---------------------------------------------- paged decode attention
+namespace {
+
+// Runs tile.operator()<W>(i) over [0, n) in compile-time widths (32s,
+// then at most one each of 16, 8 and 4, then single lanes), so every
+// tile's accumulators are a fixed-size array the compiler keeps in
+// vector registers.
+template <typename Tile>
+void fixed_tiles(int64_t n, const Tile& tile) {
+  int64_t i = 0;
+  for (; i + 32 <= n; i += 32) tile.template operator()<32>(i);
+  if (i + 16 <= n) {
+    tile.template operator()<16>(i);
+    i += 16;
+  }
+  if (i + 8 <= n) {
+    tile.template operator()<8>(i);
+    i += 8;
+  }
+  if (i + 4 <= n) {
+    tile.template operator()<4>(i);
+    i += 4;
+  }
+  for (; i < n; ++i) tile.template operator()<1>(i);
+}
+
+}  // namespace
+
+void decode_attention(const float* q, const KVRun* runs, int64_t nruns,
+                      int64_t d, float alpha, float* scores, float* probs,
+                      float* out) {
+  const bool ref = use_reference();
+  // Scores, one run at a time: s[j] = q · K[:, j].
+  int64_t len = 0;
+  for (int64_t r = 0; r < nruns; ++r) {
+    const KVRun& run = runs[r];
+    float* s = scores + len;
+    len += run.rows;
+    if (ref) {
+      // gemm_ref's trans_b row dot: float products, double accumulator.
+      for (int64_t j = 0; j < run.rows; ++j) {
+        double acc = 0.0;
+        for (int64_t c = 0; c < d; ++c) acc += q[c] * run.k[c * run.k_stride + j];
+        s[j] = static_cast<float>(acc);
+      }
+      continue;
+    }
+    // The micro-kernel's order: a chain from 0 per KC panel of c, the
+    // first panel written, later ones added.
+    fixed_tiles(run.rows, [&]<int64_t W>(int64_t j0) {
+      for (int64_t c0 = 0; c0 < d; c0 += KC) {
+        const int64_t c1 = std::min(d, c0 + KC);
+        float acc[W] = {};
+        for (int64_t c = c0; c < c1; ++c) {
+          const float qc = q[c];
+          const float* kr = run.k + c * run.k_stride + j0;
+          for (int64_t j = 0; j < W; ++j) acc[j] = madd(qc, kr[j], acc[j]);
+        }
+        for (int64_t j = 0; j < W; ++j)
+          s[j0 + j] = c0 == 0 ? acc[j] : s[j0 + j] + acc[j];
+      }
+    });
+  }
+  scaled_softmax_rows(scores, probs, 0, 1, /*sq=*/1, len, alpha,
+                      /*causal=*/true);
+  // Context, one channel tile at a time: out[c] = Σ_p probs[p] V[p, c]
+  // as one chain over absolute positions p across every run, flushed
+  // into out at the GEMM's k-panel boundaries (none under gemm_ref).
+  const int64_t panel = ref ? len : KC;
+  fixed_tiles(d, [&]<int64_t W>(int64_t c0) {
+    float acc[W] = {};
+    bool written = false;
+    const auto flush = [&] {
+      for (int64_t c = 0; c < W; ++c) {
+        out[c0 + c] = written ? out[c0 + c] + acc[c] : acc[c];
+        acc[c] = 0.0f;
+      }
+      written = true;
+    };
+    int64_t p = 0, boundary = panel;
+    for (int64_t r = 0; r < nruns; ++r) {
+      const KVRun& run = runs[r];
+      for (int64_t j = 0; j < run.rows; ++j, ++p) {
+        if (p == boundary) {
+          flush();
+          boundary += panel;
+        }
+        const float pj = probs[p];
+        const float* vr = run.v + j * d + c0;
+        for (int64_t c = 0; c < W; ++c) acc[c] = madd(pj, vr[c], acc[c]);
+      }
+    }
+    flush();
   });
 }
 

@@ -198,6 +198,36 @@ void scaled_softmax(const float* x, float* y, int64_t rows, int64_t sq,
 void scaled_softmax_grad(const float* y, const float* dy, float* dx,
                          int64_t rows, int64_t n, float alpha);
 
+// ---------------------------------------------- paged decode attention
+// One contiguous run of cached positions of one (layer, head): `rows`
+// positions whose keys are stored transposed, k[c * k_stride + j] for
+// channel c of the run's position j (so a score sweep reads contiguous
+// key lanes), and whose values are row-major, v[j * d + c].
+struct KVRun {
+  const float* k = nullptr;
+  const float* v = nullptr;
+  int64_t rows = 0;
+  int64_t k_stride = 0;
+};
+
+// One decode row's attention for one head, read in place over the
+// cached positions held in runs[0, nruns), in position order (len = the
+// runs' total rows, >= 1):
+//   out[0, d) = softmax_causal(alpha * q Kᵀ) V.
+// scores and probs are len-float scratch (probs holds the softmax row
+// on return). Bitwise equal to gathering K and V into contiguous
+// [len, d] rows and composing gemm(q, K, trans_b) -> scaled_softmax on
+// one causal [1, len] row -> gemm(probs, V), under either GEMM dispatch,
+// because it keeps their per-element orders: each score is one chain
+// over c = 0..d-1, each out[c] one chain over positions 0..len-1 across
+// all runs (never a per-run partial sum). Blocked dispatch restarts a
+// chain at the same fixed absolute k-panel boundaries as gemm();
+// MLS_KERNEL_REF=1 follows gemm_ref (double-accumulated scores, one
+// unpanelled chain per out[c]).
+void decode_attention(const float* q, const KVRun* runs, int64_t nruns,
+                      int64_t d, float alpha, float* scores, float* probs,
+                      float* out);
+
 // ------------------------------------------------------------- dropout
 // Stateless inverted dropout over a local tensor of row-major shape
 // dims[0..nd) whose element at local coordinate c has global index

@@ -14,6 +14,8 @@
 //  * row-wise stateless dropout bitwise equal to the per-element
 //    odometer it replaced, over sharded index maps,
 //  * the specialized sbh<->bhsd layout transposes vs generic permute,
+//  * paged decode attention read in place over KV runs, bitwise equal
+//    to the gather + GEMM + softmax + GEMM composition it replaces,
 //  * an end-to-end t=2/p=2 training run: blocked path vs
 //    MLS_KERNEL_REF=1, losses equal within the documented tolerance,
 //    and bit-identical under MLS_KERNEL_THREADS=4.
@@ -34,24 +36,12 @@
 #include "core/env.h"
 #include "optim/optim.h"
 #include "pipeline/executor.h"
+#include "scoped_env.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace mls {
 namespace {
-
-// RAII Env override so a failing EXPECT cannot leak the setting into
-// later tests.
-class ScopedEnv {
- public:
-  ScopedEnv(std::string name, const std::string& value) : name_(std::move(name)) {
-    core::Env::set(name_, value);
-  }
-  ~ScopedEnv() { core::Env::clear(name_); }
-
- private:
-  std::string name_;
-};
 
 std::vector<float> random_vec(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -354,11 +344,15 @@ TEST(KernelPool, TeardownSurvivesPoisonedWorldUnwind) {
     kernels::gemm(a.data(), b.data(), c1.data(), m, n, k, false, false);
   }
   std::vector<float> again(static_cast<size_t>(m * n), -1.0f);
+  std::vector<int> resolved(2, 0);
   spmd::run(2, [&](comm::Comm& c) {
+    // The inner scope restored the outer "4": this run is threaded.
+    resolved[static_cast<size_t>(c.rank())] = kernels::threads();
     std::vector<float> out(static_cast<size_t>(m * n));
     kernels::gemm(a.data(), b.data(), out.data(), m, n, k, false, false);
     if (c.rank() == 0) again = out;
   });
+  EXPECT_EQ(resolved, std::vector<int>({4, 4}));
   EXPECT_EQ(0, std::memcmp(c1.data(), again.data(), sizeof(float) * c1.size()));
 }
 
@@ -589,6 +583,92 @@ TEST(KernelFused, FoldedTspInteriorsAreThreadCountInvariant) {
   EXPECT_TRUE(same_bits(one.sy, four.sy));
   EXPECT_TRUE(same_bits(one.dscores, four.dscores));
   EXPECT_TRUE(same_bits(one.dv, four.dv));
+}
+
+// --------------------------------------------- paged decode attention
+
+// The cached positions of one (layer, head) as the KV cache stores
+// them: K transposed [d, stride], V row-major [stride, d], with the
+// slack beyond the live rows poisoned so a read past a run shows up.
+struct CachedRuns {
+  std::vector<std::vector<float>> k, v;
+  std::vector<kernels::KVRun> runs;
+};
+
+CachedRuns cache_runs(const std::vector<float>& k, const std::vector<float>& v,
+                      int64_t len, int64_t d, int64_t stride) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  CachedRuns c;
+  for (int64_t start = 0; start < len; start += stride) {
+    const int64_t rows = std::min(stride, len - start);
+    std::vector<float> kt(static_cast<size_t>(d * stride), nan);
+    std::vector<float> vr(static_cast<size_t>(stride * d), nan);
+    for (int64_t j = 0; j < rows; ++j) {
+      for (int64_t ch = 0; ch < d; ++ch) {
+        const auto src = static_cast<size_t>((start + j) * d + ch);
+        kt[static_cast<size_t>(ch * stride + j)] = k[src];
+        vr[static_cast<size_t>(j * d + ch)] = v[src];
+      }
+    }
+    // Moving a vector keeps its buffer, so the run's pointers stay valid.
+    c.runs.push_back({kt.data(), vr.data(), rows, stride});
+    c.k.push_back(std::move(kt));
+    c.v.push_back(std::move(vr));
+  }
+  return c;
+}
+
+TEST(KernelDecodeAttention, MatchesGatherGemmSoftmaxGemmBitwise) {
+  // The fused in-place kernel against the composition it replaces:
+  // gather K/V into contiguous [len, d] rows, then gemm(trans_b) ->
+  // one causal scaled_softmax row -> gemm. Paged runs of every block
+  // size and one naive run; len 300 crosses the GEMM's k-panel
+  // boundary (256) inside a run; d = 13 leaves a partial channel tile.
+  // Both dispatches: blocked and MLS_KERNEL_REF=1's gemm_ref.
+  const int64_t s = 300;
+  for (const char* ref : {"0", "1"}) {
+    ScopedEnv env("MLS_KERNEL_REF", ref);
+    for (const int64_t d : {8, 13, 32, 40}) {
+      const float alpha = 1.0f / std::sqrt(static_cast<float>(d));
+      const std::vector<float> q = random_vec(d, 61 + d);
+      const std::vector<float> k = random_vec(s * d, 62 + d);
+      const std::vector<float> v = random_vec(s * d, 63 + d);
+      for (const int64_t bt : {1, 3, 16}) {
+        for (const int64_t len : {int64_t{1}, bt - 1, bt, bt + 1, s}) {
+          if (len < 1) continue;
+          std::vector<float> scores(static_cast<size_t>(len));
+          std::vector<float> want_p(static_cast<size_t>(len));
+          std::vector<float> want(static_cast<size_t>(d));
+          kernels::gemm(q.data(), k.data(), scores.data(), 1, len, d,
+                        /*trans_a=*/false, /*trans_b=*/true);
+          kernels::scaled_softmax(scores.data(), want_p.data(), 1, 1, len,
+                                  alpha, /*causal=*/true);
+          kernels::gemm(want_p.data(), v.data(), want.data(), 1, d, len,
+                        /*trans_a=*/false, /*trans_b=*/false);
+          for (const bool paged : {true, false}) {
+            const CachedRuns c = cache_runs(k, v, len, d, paged ? bt : s);
+            std::vector<float> sc(static_cast<size_t>(len)),
+                pr(static_cast<size_t>(len)),
+                got(static_cast<size_t>(d), -1.0f);
+            kernels::decode_attention(q.data(), c.runs.data(),
+                                      static_cast<int64_t>(c.runs.size()), d,
+                                      alpha, sc.data(), pr.data(), got.data());
+            const std::string where = std::string("ref=") + ref +
+                                      " d=" + std::to_string(d) +
+                                      " bt=" + std::to_string(bt) +
+                                      " len=" + std::to_string(len) +
+                                      (paged ? " paged" : " naive");
+            EXPECT_EQ(0, std::memcmp(want_p.data(), pr.data(),
+                                     sizeof(float) * pr.size()))
+                << where;
+            EXPECT_EQ(0, std::memcmp(want.data(), got.data(),
+                                     sizeof(float) * got.size()))
+                << where;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------ transcendental tier

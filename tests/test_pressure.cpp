@@ -24,6 +24,7 @@
 #include "memory/pool_allocator.h"
 #include "memory/pressure.h"
 #include "model/generate.h"
+#include "scoped_env.h"
 #include "serve/kv_cache.h"
 #include "serve/traffic.h"
 #include "train/trainer.h"
@@ -56,15 +57,6 @@ class PressureTest : public ::testing::Test {
   fs::path dir_;
 };
 
-// Scoped env override (core::Env's programmatic shadow map).
-struct EnvVar {
-  std::string name;
-  EnvVar(const char* n, const std::string& v) : name(n) {
-    core::Env::set(name, v);
-  }
-  ~EnvVar() { core::Env::clear(name); }
-};
-
 // Tiny geometry so budget arithmetic works in tens of KiB: 512 B
 // granule, 4 KiB small/large boundary (everything below is large and
 // gets an exact-size segment).
@@ -85,11 +77,11 @@ PoolAllocator::Config arena_cfg(int64_t budget = -1) {
 TEST(PressureConfig, DisabledByDefaultAndEnvKnobsActivate) {
   EXPECT_FALSE(PressureConfig::from_env().enabled());
 
-  EnvVar budget("MLS_MEM_BUDGET_BYTES", "1000000");
-  EnvVar soft("MLS_MEM_SOFT_PCT", "0.7");
-  EnvVar hard("MLS_MEM_HARD_PCT", "0.9");
-  EnvVar low("MLS_MEM_LOW_PCT", "0.5");
-  EnvVar calm("MLS_MEM_CALM_STEPS", "3");
+  ScopedEnv budget("MLS_MEM_BUDGET_BYTES", "1000000");
+  ScopedEnv soft("MLS_MEM_SOFT_PCT", "0.7");
+  ScopedEnv hard("MLS_MEM_HARD_PCT", "0.9");
+  ScopedEnv low("MLS_MEM_LOW_PCT", "0.5");
+  ScopedEnv calm("MLS_MEM_CALM_STEPS", "3");
   const PressureConfig cfg = PressureConfig::from_env();
   EXPECT_TRUE(cfg.enabled());
   EXPECT_EQ(cfg.budget_bytes, 1000000);
@@ -103,9 +95,9 @@ TEST(PressureConfig, DisabledByDefaultAndEnvKnobsActivate) {
 }
 
 TEST(PressureConfig, MisorderedWatermarksAreRejected) {
-  EnvVar budget("MLS_MEM_BUDGET_BYTES", "1000000");
-  EnvVar soft("MLS_MEM_SOFT_PCT", "0.9");
-  EnvVar hard("MLS_MEM_HARD_PCT", "0.8");  // hard below soft
+  ScopedEnv budget("MLS_MEM_BUDGET_BYTES", "1000000");
+  ScopedEnv soft("MLS_MEM_SOFT_PCT", "0.9");
+  ScopedEnv hard("MLS_MEM_HARD_PCT", "0.8");  // hard below soft
   EXPECT_THROW(PressureConfig::from_env(), Error);
 }
 
@@ -124,26 +116,26 @@ std::string error_of(const std::function<void()>& read) {
 
 TEST(EnvParse, UnparsableIntegerThrows) {
   {
-    EnvVar budget("MLS_MEM_BUDGET_BYTES", "1GiB");
+    ScopedEnv budget("MLS_MEM_BUDGET_BYTES", "1GiB");
     const std::string msg = error_of([] { PressureConfig::from_env(); });
     EXPECT_NE(msg.find("MLS_MEM_BUDGET_BYTES='1GiB'"), std::string::npos)
         << msg;
   }
-  EnvVar threads("MLS_KERNEL_THREADS", "four");
+  ScopedEnv threads("MLS_KERNEL_THREADS", "four");
   const std::string msg =
       error_of([] { core::Env::integer("MLS_KERNEL_THREADS", 0); });
   EXPECT_NE(msg.find("MLS_KERNEL_THREADS='four'"), std::string::npos) << msg;
 }
 
 TEST(EnvParse, UnparsableRealThrows) {
-  EnvVar budget("MLS_MEM_BUDGET_BYTES", "1000000");
-  EnvVar soft("MLS_MEM_SOFT_PCT", "80%");
+  ScopedEnv budget("MLS_MEM_BUDGET_BYTES", "1000000");
+  ScopedEnv soft("MLS_MEM_SOFT_PCT", "80%");
   const std::string msg = error_of([] { PressureConfig::from_env(); });
   EXPECT_NE(msg.find("MLS_MEM_SOFT_PCT='80%'"), std::string::npos) << msg;
 }
 
 TEST(EnvParse, UnparsableFlagThrows) {
-  EnvVar pool("MLS_ALLOC_POOL", "enabled");
+  ScopedEnv pool("MLS_ALLOC_POOL", "enabled");
   const std::string msg =
       error_of([] { core::Env::flag("MLS_ALLOC_POOL", true); });
   EXPECT_NE(msg.find("MLS_ALLOC_POOL='enabled'"), std::string::npos) << msg;
@@ -151,10 +143,10 @@ TEST(EnvParse, UnparsableFlagThrows) {
 
 TEST(EnvParse, ValidValuesStillParse) {
   EXPECT_EQ(core::Env::integer("MLS_ENV_PARSE_UNSET", 7), 7);
-  EnvVar i("MLS_ENV_PARSE_INT", "-1073741824");
-  EnvVar r("MLS_ENV_PARSE_REAL", "0.75");
-  EnvVar on("MLS_ENV_PARSE_ON", "On");
-  EnvVar off("MLS_ENV_PARSE_OFF", "no");
+  ScopedEnv i("MLS_ENV_PARSE_INT", "-1073741824");
+  ScopedEnv r("MLS_ENV_PARSE_REAL", "0.75");
+  ScopedEnv on("MLS_ENV_PARSE_ON", "On");
+  ScopedEnv off("MLS_ENV_PARSE_OFF", "no");
   EXPECT_EQ(core::Env::integer("MLS_ENV_PARSE_INT", 0), -1073741824);
   EXPECT_DOUBLE_EQ(core::Env::real("MLS_ENV_PARSE_REAL", 0), 0.75);
   EXPECT_TRUE(core::Env::flag("MLS_ENV_PARSE_ON", false));

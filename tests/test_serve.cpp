@@ -1,6 +1,7 @@
 // Serving-plane tests: the paged continuous-batching decode path must
 // emit bit-identical tokens to model::generate() for every sequence in
-// a mixed batch (serial and on a t=2 TP grid, paged and naive), plus
+// a mixed batch (serial and on a t=2 TP grid, paged and naive, also
+// under MLS_KERNEL_REF=1's reference GEMMs), plus
 // block-table stress (admit/evict/reuse under
 // preemption, fragmentation bounds, poisoned teardown) and the
 // KV-bytes MemoryTracker axis.
@@ -13,8 +14,10 @@
 #include "comm/spmd.h"
 #include "common/memtracker.h"
 #include "model/generate.h"
+#include "scoped_env.h"
 #include "serve/report.h"
 #include "serve/traffic.h"
+#include "tensor/kernels.h"
 
 namespace mls {
 namespace {
@@ -121,6 +124,36 @@ TEST(Serve, PagedDecodeMatchesGenerateTP2) {
     ASSERT_EQ(got.tokens.size(), reqs.size());
     for (const auto& r : reqs) {
       EXPECT_EQ(got.tokens.at(r.id), ref.at(r.id)) << "request " << r.id;
+    }
+  });
+}
+
+TEST(Serve, PagedDecodeMatchesGenerateUnderReferenceKernels) {
+  // MLS_KERNEL_REF=1 routes the full path's GEMMs through gemm_ref.
+  // Decode attention must follow that arithmetic too (double-
+  // accumulated scores, one unpanelled context chain), not ignore the
+  // knob: tokens still match generate(), paged and naive.
+  ScopedEnv ref("MLS_KERNEL_REF", "1");
+  ModelConfig cfg = ModelConfig::tiny(2, 2);
+  cfg.b = 1;
+  spmd::run(2, [&](comm::Comm& c) {
+    ASSERT_TRUE(kernels::use_reference());
+    model::GPTModel m(cfg, c);
+    const auto reqs = mixed_requests(cfg);
+    std::map<int64_t, std::vector<int64_t>> ref_tokens;
+    for (const auto& r : reqs) ref_tokens[r.id] = generate_reference(m, r);
+    for (const bool paged : {true, false}) {
+      ServeConfig scfg;
+      scfg.paged = paged;
+      scfg.block_tokens = 3;
+      scfg.kv_budget_tokens = 256;
+      scfg.max_batch = 4;
+      const auto got = serve_all(m, scfg, reqs);
+      ASSERT_EQ(got.tokens.size(), reqs.size());
+      for (const auto& r : reqs) {
+        EXPECT_EQ(got.tokens.at(r.id), ref_tokens.at(r.id))
+            << (paged ? "paged" : "naive") << " request " << r.id;
+      }
     }
   });
 }
